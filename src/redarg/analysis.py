@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import NoGroundConstant, PreconditionUnmet
-from .rewrite import DEFAULT_FUEL, common_reduct, joinable
+from .rewrite import DEFAULT_FUEL, join
 from .terms import (
     App,
     FuncSymbol,
@@ -98,7 +98,9 @@ class RedundancySet:
 @dataclass(frozen=True)
 class AnalysisConfig:
     fuel: int = DEFAULT_FUEL
-    max_rounds: int = 50
+    # None runs to the fixpoint: every round but the last adds a
+    # position, so there are at most len(candidates) + 1 rounds
+    max_rounds: Optional[int] = None
     methods: tuple[str, ...] = ("variable", "pattern")
     strategy: str = "leftmost-innermost"
 
@@ -302,10 +304,7 @@ def check_triple(
     right = sc.apply(
         tau_transform(triple.rule2.rhs, triple.rule2.lhs, triple.f, triple.i, constants)
     )
-    j = joinable(left, right, trs, fuel=fuel, strategy=strategy)
-    common = (
-        common_reduct(left, right, trs, fuel=fuel, strategy=strategy) if j else None
-    )
+    j, common = join(left, right, trs, fuel=fuel, strategy=strategy)
     return TripleEvidence(triple=triple, left=left, right=right, joinable=j, common=common)
 
 
@@ -409,15 +408,15 @@ def analyze(
     justifications: dict[tuple[str, int], Justification] = {}
     indeterminate: set[tuple[str, int]] = set()
     rounds = 0
-    for rnd in range(1, cfg.max_rounds + 1):
-        rounds = rnd
+    while cfg.max_rounds is None or rounds < cfg.max_rounds:
+        rounds += 1
         additions: list[tuple[str, int, Justification]] = []
         indeterminate_this_round: set[tuple[str, int]] = set()
         for fname, i in candidates:
             if i in known.get(fname, frozenset()):
                 continue
             if var_ok and variable_case(trs, fname, i, known, report=report):
-                additions.append((fname, i, Justification("variable-case", rnd)))
+                additions.append((fname, i, Justification("variable-case", rounds)))
                 continue
             if pat_ok:
                 try:
@@ -437,7 +436,7 @@ def analyze(
                     continue
                 if verdict is True:
                     additions.append(
-                        (fname, i, Justification("pattern-case", rnd, evidence))
+                        (fname, i, Justification("pattern-case", rounds, evidence))
                     )
                 elif verdict is None:
                     indeterminate_this_round.add((fname, i))
@@ -447,6 +446,8 @@ def analyze(
         for fname, i, just in additions:
             known[fname] = known.get(fname, frozenset()) | {i}
             justifications[(fname, i)] = just
+    else:
+        notes.append(f"stopped after {rounds} rounds, before the fixpoint")
 
     assert all(
         trs.symbol_map[name].kind == "defined" for name in known

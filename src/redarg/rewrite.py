@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import is_
 from typing import TYPE_CHECKING, Optional
 
 from .errors import WellFormednessError
@@ -136,15 +137,96 @@ def rewrite_step(
 
 
 def is_constructor_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return t.symbol.kind == "constructor" and all(
-        is_constructor_ground(a) for a in t.args
-    )
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var) or u.symbol.kind != "constructor":
+            return False
+        stack.extend(u.args)
+    return True
 
 
 def is_normal_form(t: Term, trs: "Trs") -> bool:
     return rewrite_step(t, trs) is None
+
+
+def _outcome(
+    term: Term, steps: int, trace: Optional[list[TraceStep]], exhausted: bool = False
+) -> EvalOutcome:
+    if exhausted:
+        kind = "fuel-exhausted"
+    else:
+        kind = "value" if is_constructor_ground(term) else "normal-form"
+    return EvalOutcome(kind, term, steps, None if trace is None else tuple(trace))
+
+
+# A frame of the innermost machine is [template, bindings, args]; args
+# holds the normal forms of the template's first len(args) arguments.
+_NO_BINDINGS = Substitution()
+
+
+def _rebuild(stack: list[list], term: Term) -> Term:
+    """The whole term, with term at the position of the top frame."""
+    for tmpl, sigma, args in reversed(stack[:-1]):
+        rest = tuple(sigma.apply(a) for a in tmpl.args[len(args) + 1 :])
+        term = App(tmpl.symbol, (*args, term, *rest))
+    return term
+
+
+def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
+    """Leftmost-innermost normalization in one bottom-up pass.
+
+    A frame's template is a subterm of the goal (no bindings) or of the
+    rhs of the rule that fired last, whose variables are bound to normal
+    forms.  Arguments are normalized left to right, then the root rules
+    are tried in file order; a firing rule re-points the frame at its
+    rhs.  That is the redex rewrite_step would pick from the root, but
+    the bound normal forms are never scanned again.
+    """
+    trace: Optional[list[TraceStep]] = [] if want_trace else None
+    if isinstance(t, Var):
+        return _outcome(t, 0, trace)
+    index = _root_index(trs.rules)
+    last = t  # the whole term after the last step, for the trace
+    steps = 0
+    stack: list[list] = [[t, _NO_BINDINGS, []]]
+    while True:
+        tmpl, sigma, args = stack[-1]
+        targs = tmpl.args
+        if len(args) < len(targs):
+            a = targs[len(args)]
+            if isinstance(a, Var):
+                bound = sigma.get(a.name)
+                args.append(a if bound is None else bound)
+            else:
+                stack.append([a, sigma, []])
+            continue
+        if all(map(is_, args, targs)):
+            node = tmpl
+        else:
+            node = App(tmpl.symbol, tuple(args))
+        rules = index.get(tmpl.symbol.name)
+        hit = _match_at(node, rules) if rules else None
+        if hit is not None and steps >= fuel:
+            return _outcome(_rebuild(stack, node), steps, trace, exhausted=True)
+        if hit is None:
+            value = node
+        else:
+            rule, s = hit
+            steps += 1
+            if trace is not None:
+                after = _rebuild(stack, s.apply(rule.rhs))
+                position = tuple(len(f[2]) + 1 for f in stack[:-1])
+                trace.append(TraceStep(position, rule, last, after))
+                last = after
+            if isinstance(rule.rhs, App):
+                stack[-1] = [rule.rhs, s, []]
+                continue
+            value = s.apply(rule.rhs)
+        stack.pop()
+        if not stack:
+            return _outcome(value, steps, trace)
+        stack[-1][2].append(value)
 
 
 def normalize(
@@ -154,30 +236,49 @@ def normalize(
     fuel: int = DEFAULT_FUEL,
     want_trace: bool = False,
 ) -> EvalOutcome:
-    """Iterate rewrite_step to a normal form or fuel exhaustion.
+    """Rewrite t under the strategy to a normal form or until fuel runs out.
 
-    The step count is exact; with want_trace the outcome carries one
-    TraceStep per step, replayable to the final term.
+    A step is taken only while steps < fuel, so the step count is exact;
+    with want_trace the outcome carries one TraceStep per step,
+    replayable to the final term.  Leftmost-innermost runs in one
+    bottom-up pass; leftmost-outermost calls rewrite_step from the root
+    on every step, since a step there can create a redex above itself.
     """
+    if strategy == "leftmost-innermost":
+        return _innermost(t, trs, fuel, want_trace)
     current = t
     steps = 0
-    trace: list[TraceStep] = []
-    while steps < fuel:
-        hit = rewrite_step(current, trs, strategy)
-        if hit is None:
-            kind = "value" if is_constructor_ground(current) else "normal-form"
-            return EvalOutcome(kind, current, steps, tuple(trace) if want_trace else None)
+    trace: Optional[list[TraceStep]] = [] if want_trace else None
+    while (hit := rewrite_step(current, trs, strategy)) is not None:
+        if steps >= fuel:
+            return _outcome(current, steps, trace, exhausted=True)
         nxt, p, rule = hit
-        if want_trace:
+        if trace is not None:
             trace.append(TraceStep(p, rule, current, nxt))
         current = nxt
         steps += 1
-    if rewrite_step(current, trs, strategy) is None:
-        kind = "value" if is_constructor_ground(current) else "normal-form"
-        return EvalOutcome(kind, current, steps, tuple(trace) if want_trace else None)
-    return EvalOutcome(
-        "fuel-exhausted", current, steps, tuple(trace) if want_trace else None
-    )
+    return _outcome(current, steps, trace)
+
+
+def join(
+    t: Term,
+    s: Term,
+    trs: "Trs",
+    fuel: int = DEFAULT_FUEL,
+    strategy: str = "leftmost-innermost",
+) -> tuple[Optional[bool], Optional[Term]]:
+    """Normalize each side once: (joinable, common reduct).
+
+    joinable is tri-state, None when either side runs out of fuel; the
+    common reduct is the shared normal form, or None when not joinable.
+    """
+    a = normalize(t, trs, strategy, fuel)
+    b = normalize(s, trs, strategy, fuel)
+    if a.exhausted or b.exhausted:
+        return None, None
+    if a.term != b.term:
+        return False, None
+    return True, a.term
 
 
 def joinable(
@@ -192,11 +293,7 @@ def joinable(
     Tri-state: None when either side runs out of fuel.  Complete only
     on confluent, terminating systems; callers gate on those checks.
     """
-    a = normalize(t, trs, strategy, fuel)
-    b = normalize(s, trs, strategy, fuel)
-    if a.exhausted or b.exhausted:
-        return None
-    return a.term == b.term
+    return join(t, s, trs, fuel, strategy)[0]
 
 
 def common_reduct(
@@ -207,11 +304,7 @@ def common_reduct(
     strategy: str = "leftmost-innermost",
 ) -> Optional[Term]:
     """The shared normal form when joinable, else None."""
-    a = normalize(t, trs, strategy, fuel)
-    b = normalize(s, trs, strategy, fuel)
-    if a.exhausted or b.exhausted or a.term != b.term:
-        return None
-    return a.term
+    return join(t, s, trs, fuel, strategy)[1]
 
 
 def evaluate(

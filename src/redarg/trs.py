@@ -18,6 +18,7 @@ from .errors import (
     ParseError,
     WellFormednessError,
 )
+from .rewrite import DEFAULT_FUEL, joinable
 from .terms import (
     App,
     FuncSymbol,
@@ -36,8 +37,6 @@ from .terms import (
     var_names,
     vars_of,
 )
-
-DEFAULT_FUEL = 10_000
 
 
 @dataclass(frozen=True)
@@ -492,8 +491,6 @@ def check_confluence(
         return "yes-orthogonal", None
     if not trs.terminating_attested:
         return "unknown", None
-    from .rewrite import joinable
-
     indeterminate = False
     for cp in cps:
         j = joinable(cp.left, cp.right, trs, fuel=fuel)

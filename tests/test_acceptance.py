@@ -3,11 +3,14 @@
 Each test prints one [PASS]/[FAIL] line (shown with -s or -rA; `pytest
 -v` gives the same verdict through the test name) and asserts the same
 condition.  Criterion 6 runs the exhaustive oracle at its full default
-bounds and takes a few minutes; everything else is fast.
+bounds and takes minutes, so it is marked slow (`-m "not slow"` skips
+it); everything else is fast.
 """
 
 import random
 import time
+
+import pytest
 
 from redarg.analysis import analyze, check_triple, fi_triples, sigma_c, tau_transform
 from redarg.erasure import (
@@ -190,6 +193,7 @@ def test_criterion_05_differential_verification():
              clean and sensitive)
 
 
+@pytest.mark.slow
 def test_criterion_06_oracle_agreement():
     bounds = EnumBounds()  # ctx depth 3, term depth 3
     positives = [

@@ -226,6 +226,29 @@ def test_analyze_needs_knowledge_chain(applast):
     assert ("applast", 1) in full.redundancy
 
 
+def accumulator_chain(m):
+    """c1 .. cm pass an accumulator that nobody reads down a chain; the
+    variable case finds it one function per round, from cm back to c1."""
+    lines = ["sort Nat", "cons Z : Nat", "cons S : Nat -> Nat"]
+    lines += [f"fun c{j} : Nat Nat -> Nat" for j in range(1, m + 1)]
+    lines.append("pragma terminating")
+    for j in range(1, m + 1):
+        nxt = f"c{j + 1}(x, acc)" if j < m else "x"
+        lines += [f"rule c{j}(Z, acc) -> Z", f"rule c{j}(S(x), acc) -> {nxt}"]
+    return parse_trs("\n".join(lines) + "\n")
+
+
+def test_analyze_runs_to_the_fixpoint():
+    trs = accumulator_chain(55)
+    result = analyze(trs)
+    assert result.redundancy.entries == {f"c{j}": {2} for j in range(1, 56)}
+    assert result.rounds == 56  # one round per function plus the fixpoint round
+    assert not any("stopped after" in n for n in result.notes)
+    capped = analyze(trs, AnalysisConfig(max_rounds=10))
+    assert capped.rounds == 10 and capped.redundancy.total_indices() == 10
+    assert "stopped after 10 rounds, before the fixpoint" in capped.notes
+
+
 def test_analyze_notes_on_negatives(nonconfluent, partial, noncs):
     r1 = analyze(nonconfluent)
     assert {k: sorted(v) for k, v in r1.redundancy.entries.items()} == {"g": [1]}

@@ -1,8 +1,12 @@
 """Rewrite engine: strategies, normalization, joinability, semantics."""
 
+import random
+
 import pytest
 
 from redarg import (
+    App,
+    Var,
     WellFormednessError,
     bounded_semantics,
     evaluate,
@@ -12,12 +16,17 @@ from redarg import (
     parse_trs,
     rewrite_step,
 )
+from redarg.oracle import random_ground_term
 from redarg.rewrite import (
+    DEFAULT_FUEL,
+    TraceStep,
     common_reduct,
     is_constructor_ground,
     is_normal_form,
     successors,
 )
+
+from conftest import CORPUS, load_corpus
 
 STRATEGY_DEMO = parse_trs(
     "sort N\n"
@@ -115,6 +124,107 @@ def test_trace_replays():
     assert out.trace[-1].after == out.term
     assert str(out.trace[0]) == "1: f(g(Z)) -> f(S(Z)) [r2]"
     assert str(out.trace[1]) == "e: f(S(Z)) -> Z [r1]"
+
+
+# --- the bottom-up innermost machine against the step-by-step loop ----------
+
+def reference_normalize(t, trs, fuel):
+    """Leftmost-innermost normalization by iterating rewrite_step from
+    the root: (kind, term, steps, trace strings)."""
+    current, steps, trace = t, 0, []
+    while steps < fuel:
+        hit = rewrite_step(current, trs)
+        if hit is None:
+            break
+        nxt, p, rule = hit
+        trace.append(str(TraceStep(p, rule, current, nxt)))
+        current, steps = nxt, steps + 1
+    if rewrite_step(current, trs) is not None:
+        kind = "fuel-exhausted"
+    elif is_constructor_ground(current):
+        kind = "value"
+    else:
+        kind = "normal-form"
+    return kind, current, steps, trace
+
+
+def random_term(trs, rng, open_term):
+    """A defined symbol applied to random ground terms of depth at most
+    6; with open_term, some proper subterms become variables, some
+    named like rule variables."""
+    f = rng.choice(trs.defined)
+    t = App(f, tuple(
+        random_ground_term(trs, s, rng.randint(1, 6), rng) for s in f.arg_sorts
+    ))
+    if not open_term:
+        return t
+
+    def holes(u, top):
+        if not top and rng.random() < 0.2:
+            return Var(rng.choice(["x", "y", "v"]), u.sort)
+        return App(u.symbol, tuple(holes(a, False) for a in u.args))
+
+    return holes(t, True)
+
+
+CORPUS_SYSTEMS = sorted(str(p.relative_to(CORPUS)) for p in CORPUS.glob("**/*.trs"))
+
+
+@pytest.mark.parametrize("open_term", [False, True], ids=["ground", "open"])
+@pytest.mark.parametrize("relpath", CORPUS_SYSTEMS)
+def test_normalize_agrees_with_step_loop(relpath, open_term):
+    trs = load_corpus(relpath)
+    rng = random.Random(relpath)
+    for _ in range(25):
+        goal = random_term(trs, rng, open_term)
+        for fuel in (0, 1, 3, DEFAULT_FUEL):
+            kind, term, steps, trace = reference_normalize(goal, trs, fuel)
+            plain = normalize(goal, trs, fuel=fuel)
+            assert (plain.kind, plain.term, plain.steps) == (kind, term, steps)
+            assert plain.trace is None
+            traced = normalize(goal, trs, fuel=fuel, want_trace=True)
+            assert (traced.kind, traced.term, traced.steps) == (kind, term, steps)
+            assert [str(step) for step in traced.trace] == trace
+
+
+def test_innermost_normalize_never_rescans(plus_minus, monkeypatch):
+    def no_rescan(*args, **kwargs):
+        raise AssertionError("rewrite_step called")
+
+    monkeypatch.setattr("redarg.rewrite.rewrite_step", no_rescan)
+    goal = parse_term("minus_pe(S(S(Z)), minus_pe(S(Z), Z))", plus_minus)
+    assert normalize(goal, plus_minus, fuel=2).exhausted
+    assert normalize(goal, plus_minus, want_trace=True).steps == 5
+
+
+def nest(symbol, n, leaf):
+    t = leaf
+    for _ in range(n):
+        t = App(symbol, (t,))
+    return t
+
+
+def depth(t):
+    best, stack = 0, [(t, 1)]
+    while stack:
+        u, d = stack.pop()
+        best = max(best, d)
+        stack.extend((a, d + 1) for a in u.args)
+    return best
+
+
+def test_normalize_deep_goal(plus_minus):
+    sym = plus_minus.symbol_map
+    zero = App(sym["Z"])
+    big = nest(sym["S"], 3000, zero)
+    goal = App(sym["minus_pe"], (big, big))
+    out = normalize(goal, plus_minus)
+    assert (out.kind, out.steps) == ("value", 3001)
+    assert depth(out.term) == 3001
+    cut = normalize(goal, plus_minus, fuel=1000)
+    assert (cut.kind, cut.steps) == ("fuel-exhausted", 1000)
+    assert cut.term.symbol.name == "minus_pe"
+    assert depth(cut.term.args[0]) == 2001 and cut.term.args[1] is big
 
 
 def test_evaluate_requires_ground():
