@@ -102,7 +102,6 @@ class AnalysisConfig:
     # position, so there are at most len(candidates) + 1 rounds
     max_rounds: Optional[int] = None
     methods: tuple[str, ...] = ("variable", "pattern")
-    strategy: str = "leftmost-innermost"
 
 
 @dataclass(frozen=True)
@@ -194,6 +193,18 @@ def _require(trs: Trs, report: PropertyReport, gates: Iterable[str]) -> None:
             raise PreconditionUnmet("seval-defined", report.seval_reason or "")
 
 
+def _arg_vars_redundant(trs: Trs, fname: str, i: int, known: KnownMap) -> bool:
+    """Whether every variable of each rule's i-th lhs argument is
+    (f,i)-redundant in its rhs: all that the variable case asks of a
+    variable argument, and the part of the pattern case that depends
+    on `known`."""
+    for rule in trs.rules_for(fname):
+        for v in sorted(vars_of(rule.lhs.args[i - 1]), key=lambda v: v.name):
+            if not is_fi_redundant_var(v, rule.rhs, fname, i, known):
+                return False
+    return True
+
+
 def variable_case(
     trs: Trs,
     f: FuncSymbol | str,
@@ -206,15 +217,10 @@ def variable_case(
     if report is None:
         report = build_property_report(trs)
     _require(trs, report, ("left-linear", "constructor-system"))
-    known = known or {}
     fname = f if isinstance(f, str) else f.name
-    for rule in trs.rules_for(fname):
-        arg = rule.lhs.args[i - 1]
-        if not isinstance(arg, Var):
-            return False
-        if not is_fi_redundant_var(arg, rule.rhs, fname, i, known):
-            return False
-    return True
+    return all(
+        isinstance(rule.lhs.args[i - 1], Var) for rule in trs.rules_for(fname)
+    ) and _arg_vars_redundant(trs, fname, i, known or {})
 
 
 def fi_triples(trs: Trs, f: FuncSymbol | str, i: int) -> list[FITriple]:
@@ -295,7 +301,6 @@ def check_triple(
     triple: FITriple,
     constants: dict[str, Term],
     fuel: int = DEFAULT_FUEL,
-    strategy: str = "leftmost-innermost",
 ) -> TripleEvidence:
     sc = sigma_c(triple, constants)
     left = sc.apply(
@@ -304,8 +309,28 @@ def check_triple(
     right = sc.apply(
         tau_transform(triple.rule2.rhs, triple.rule2.lhs, triple.f, triple.i, constants)
     )
-    j, common = join(left, right, trs, fuel=fuel, strategy=strategy)
+    j, common = join(left, right, trs, fuel=fuel)
     return TripleEvidence(triple=triple, left=left, right=right, joinable=j, common=common)
+
+
+PatternVerdict = tuple[Optional[bool], tuple[TripleEvidence, ...]]
+
+
+def _triple_verdict(
+    trs: Trs, fname: str, i: int, constants: dict[str, Term], fuel: int
+) -> PatternVerdict:
+    """The part of the pattern case that does not depend on `known`:
+    whether every (f,i)-triple joins, with the checked triples."""
+    evidence: list[TripleEvidence] = []
+    verdict: Optional[bool] = True
+    for triple in fi_triples(trs, fname, i):
+        ev = check_triple(trs, triple, constants, fuel=fuel)
+        evidence.append(ev)
+        if ev.joinable is False:
+            return False, tuple(evidence)
+        if ev.joinable is None:
+            verdict = None
+    return verdict, tuple(evidence)
 
 
 def pattern_case(
@@ -315,8 +340,7 @@ def pattern_case(
     known: Optional[KnownMap] = None,
     fuel: int = DEFAULT_FUEL,
     report: Optional[PropertyReport] = None,
-    strategy: str = "leftmost-innermost",
-) -> tuple[Optional[bool], tuple[TripleEvidence, ...]]:
+) -> PatternVerdict:
     """Pattern-case verdict for (f,i): True, False, or None when fuel
     ran out while joining a triple.  Also returns the checked triples.
     """
@@ -327,23 +351,10 @@ def pattern_case(
         report,
         ("left-linear", "constructor-system", "confluent", "seval-defined"),
     )
-    known = known or {}
     fname = f if isinstance(f, str) else f.name
-    constants = designated_constants(trs)
-    for rule in trs.rules_for(fname):
-        for v in sorted(vars_of(rule.lhs.args[i - 1]), key=lambda v: v.name):
-            if not is_fi_redundant_var(v, rule.rhs, fname, i, known):
-                return False, ()
-    evidence: list[TripleEvidence] = []
-    verdict: Optional[bool] = True
-    for triple in fi_triples(trs, fname, i):
-        ev = check_triple(trs, triple, constants, fuel=fuel, strategy=strategy)
-        evidence.append(ev)
-        if ev.joinable is False:
-            return False, tuple(evidence)
-        if ev.joinable is None:
-            verdict = None
-    return verdict, tuple(evidence)
+    if not _arg_vars_redundant(trs, fname, i, known or {}):
+        return False, ()
+    return _triple_verdict(trs, fname, i, designated_constants(trs), fuel)
 
 
 def _gating_notes(report: PropertyReport) -> tuple[list[str], bool, bool]:
@@ -388,7 +399,8 @@ def analyze(
     Methods unavailable on this system are recorded as notes and
     skipped; they never raise here.  Within a round every candidate is
     judged against the round-start result, so candidate order cannot
-    change the outcome.
+    change the outcome.  The triple verdict of a candidate does not
+    depend on that result, so it is computed at most once.
     """
     cfg = cfg or AnalysisConfig()
     if report is None:
@@ -404,6 +416,8 @@ def analyze(
         for f in trs.defined:
             candidates.extend((f.name, i) for i in range(1, f.arity + 1))
 
+    constants = designated_constants(trs)
+    verdicts: dict[tuple[str, int], PatternVerdict | NoGroundConstant] = {}
     known: KnownMap = {}
     justifications: dict[tuple[str, int], Justification] = {}
     indeterminate: set[tuple[str, int]] = set()
@@ -418,22 +432,21 @@ def analyze(
             if var_ok and variable_case(trs, fname, i, known, report=report):
                 additions.append((fname, i, Justification("variable-case", rounds)))
                 continue
-            if pat_ok:
-                try:
-                    verdict, evidence = pattern_case(
-                        trs,
-                        fname,
-                        i,
-                        known,
-                        fuel=cfg.fuel,
-                        report=report,
-                        strategy=cfg.strategy,
-                    )
-                except NoGroundConstant as exc:
-                    note = f"pattern case skipped for ({fname},{i}): {exc}"
+            # pat_ok means the report passes every gate pattern_case requires
+            if pat_ok and _arg_vars_redundant(trs, fname, i, known):
+                cached = verdicts.get((fname, i))
+                if cached is None:
+                    try:
+                        cached = _triple_verdict(trs, fname, i, constants, cfg.fuel)
+                    except NoGroundConstant as exc:
+                        cached = exc
+                    verdicts[(fname, i)] = cached
+                if isinstance(cached, NoGroundConstant):
+                    note = f"pattern case skipped for ({fname},{i}): {cached}"
                     if note not in notes:
                         notes.append(note)
                     continue
+                verdict, evidence = cached
                 if verdict is True:
                     additions.append(
                         (fname, i, Justification("pattern-case", rounds, evidence))

@@ -16,18 +16,7 @@ from typing import Optional
 
 from .analysis import AnalysisConfig, AnalysisResult, analyze
 from .erasure import erasure_from_analysis, erase_trs, reduced_erasure
-from .errors import (
-    ArityMismatch,
-    EmptySort,
-    NoGroundConstant,
-    NotAConstructorSystem,
-    ParseError,
-    PositionOutOfRange,
-    PreconditionUnmet,
-    RedargError,
-    SortMismatch,
-    WellFormednessError,
-)
+from .errors import RedargError, WellFormednessError
 from .oracle import (
     Counterexample,
     EnumBounds,
@@ -48,14 +37,24 @@ STRATEGY_ALIASES = {
 }
 
 
+def _count(text: str) -> int:
+    """A non-negative integer: the type of every numeric option."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+
+
 def _default_fuel() -> int:
     env = os.environ.get("REDARG_FUEL")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise WellFormednessError(f"REDARG_FUEL is not an integer: {env!r}")
-    return DEFAULT_FUEL
+    if env is None:
+        return DEFAULT_FUEL
+    try:
+        return _count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise WellFormednessError(f"REDARG_FUEL is {exc}")
 
 
 def _load(path: str) -> Trs:
@@ -509,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_fuel(p):
         p.add_argument(
             "--fuel",
-            type=int,
+            type=_count,
             default=None,
             help="rewrite step budget (default 10000; env REDARG_FUEL)",
         )
@@ -563,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="differentially test the erasure")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--trials", type=_count, default=200)
+    p.add_argument("--depth", type=_count, default=6)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--suffix", default="")
     add_fuel(p)
@@ -575,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-f", "--symbol", required=True)
     p.add_argument("-i", "--index", type=int, required=True)
-    p.add_argument("--ctx-depth", type=int, default=3)
-    p.add_argument("--term-depth", type=int, default=3)
-    p.add_argument("--max-cases", type=int, default=50_000)
+    p.add_argument("--ctx-depth", type=_count, default=3)
+    p.add_argument("--term-depth", type=_count, default=3)
+    p.add_argument("--max-cases", type=_count, default=50_000)
     add_json(p)
     p.set_defaults(fn=cmd_oracle)
 
@@ -597,21 +596,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(args, "fuel") and args.fuel is None:
             args.fuel = _default_fuel()
         return args.fn(args)
-    except (PreconditionUnmet, NoGroundConstant, NotAConstructorSystem, EmptySort) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (
-        ParseError,
-        WellFormednessError,
-        SortMismatch,
-        ArityMismatch,
-        PositionOutOfRange,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RedargError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ result.
 
 The compression step (reduced erasure) is only well defined when each
 surviving right-hand side has a unique normal form; the search for it
-is bounded, and on failure the unreduced system is returned with a
-warning rather than looping.
+is the bounded explorer of the rewrite module, and on failure the
+unreduced system is returned with a warning rather than looping.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WellFormednessError
-from .rewrite import successors
+from .rewrite import explore
 from .terms import App, FuncSymbol, Substitution, Term, Var, vars_of
 from .trs import Rule, Trs, canonical_rule, designated_constant
 
@@ -151,31 +151,15 @@ def _unique_normal_form(
     normalization this explores every reduct, so a looping rule cannot
     hide an ambiguous result.
     """
-    discovered: dict[Term, None] = {t: None}
-    queue = [t]
-    normal_forms: list[Term] = []
-    steps = 0
-    while queue:
-        u = queue.pop(0)
-        succs = successors(u, trs)
-        steps += max(len(succs), 1)
-        if steps > max_steps:
-            return None, "fuel exhausted"
-        if not succs:
-            normal_forms.append(u)
-            continue
-        for v in succs:
-            if v not in discovered:
-                if len(discovered) >= max_terms:
-                    return None, "fuel exhausted"
-                discovered[v] = None
-                queue.append(v)
+    reached, truncated = explore(t, trs, max_terms, max_steps)
+    if truncated:
+        return None, "fuel exhausted"
+    normal_forms = [u for u, succs in reached.items() if not succs]
     if not normal_forms:
         return None, "no normal form reachable"
-    first = normal_forms[0]
-    if any(nf != first for nf in normal_forms[1:]):
+    if len(normal_forms) > 1:
         return None, "normal form not unique"
-    return first, None
+    return normal_forms[0], None
 
 
 def reduced_erasure(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class RedargError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; exit_code is
+    the command line's exit status for it (4: a precondition unmet)."""
+
+    exit_code = 2
 
 
 class ParseError(RedargError):
@@ -42,6 +45,8 @@ class PreconditionUnmet(RedargError):
     "constructor-system", "confluent", "seval-defined".
     """
 
+    exit_code = 4
+
     def __init__(self, gate: str, detail: str = "") -> None:
         self.gate = gate
         self.detail = detail
@@ -55,6 +60,8 @@ class NoGroundConstant(RedargError):
     """A sort has no ground constructor term to use as its designated
     constant."""
 
+    exit_code = 4
+
     def __init__(self, sort: str) -> None:
         self.sort = sort
         super().__init__(f"sort {sort} has no ground constructor term")
@@ -64,10 +71,14 @@ class NotAConstructorSystem(RedargError):
     """An operation requiring a constructor system was applied to a TRS
     that is not one."""
 
+    exit_code = 4
+
 
 class EmptySort(RedargError):
     """Term enumeration was asked for a sort with no ground terms within
     the requested depth."""
+
+    exit_code = 4
 
     def __init__(self, sort: str, depth: int) -> None:
         self.sort = sort

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from itertools import product
+from typing import Optional, Union
 
 from .errors import EmptySort
 from .erasure import SyntacticErasure, erase_term, erase_trs
@@ -43,10 +44,12 @@ def term_depth(t: Term) -> int:
     return 1 + max((term_depth(a) for a in t.args), default=0)
 
 
-def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> list[Term]:
-    """All ground terms of the sort (over the full signature, defined
-    symbols included) with depth <= the bound, ordered by depth first
-    and declaration order within a depth level."""
+def _ground_terms_by_sort(
+    trs: Trs, depth: int
+) -> tuple[dict[Sort, list[Term]], dict[Term, int]]:
+    """Every ground term (over the full signature) with depth <= the
+    bound, per sort in (depth, declaration) order, and the depth of
+    each."""
     by_sort: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
     depth_of: dict[Term, int] = {}
     for d in range(1, depth + 1):
@@ -58,10 +61,7 @@ def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> list[Term]:
                     level.append(t)
                     depth_of[t] = 1
                 continue
-            pools = [by_sort.get(s, []) for s in f.arg_sorts]
-            if any(not pool for pool in pools):
-                continue
-            for args in _ordered_product(pools):
+            for args in product(*(by_sort.get(s, []) for s in f.arg_sorts)):
                 if max(depth_of[a] for a in args) != d - 1:
                     continue
                 t = App(f, args)
@@ -69,74 +69,43 @@ def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> list[Term]:
                 depth_of[t] = d
         for t in level:
             by_sort[t.symbol.result_sort].append(t)
-    result = [t for t in by_sort.get(sort, []) if t.symbol.result_sort == sort]
+    return by_sort, depth_of
+
+
+def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> list[Term]:
+    """All ground terms of the sort (over the full signature, defined
+    symbols included) with depth <= the bound, ordered by depth first
+    and declaration order within a depth level."""
+    result = _ground_terms_by_sort(trs, depth)[0].get(sort)
     if not result:
         raise EmptySort(sort, depth)
     return result
-
-
-def _ordered_product(pools: list[list[Term]]) -> Iterator[tuple[Term, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _ordered_product(pools[1:]):
-            yield (head,) + rest
 
 
 def enumerate_contexts(trs: Trs, hole_sort: Sort, depth: int) -> list[Term]:
     """All one-hole contexts of depth <= the bound whose hole has the
     given sort, the empty context first; the hole contributes zero to
     depth.  Same canonical (depth, declaration) order as terms."""
-    max_ground_depth = max(depth - 1, 0)
-    ground_by_sort: dict[Sort, list[Term]] = {}
-    for s in trs.sorts:
-        try:
-            ground_by_sort[s] = enumerate_ground_terms(trs, s, max_ground_depth) \
-                if max_ground_depth else []
-        except EmptySort:
-            ground_by_sort[s] = []
+    ground, depth_of = _ground_terms_by_sort(trs, depth - 1)
+    empty = hole(hole_sort)
+    depth_of[empty] = 0
     ctx_by_sort: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
-    ctx_by_sort.setdefault(hole_sort, [])
-    ctx_by_sort[hole_sort] = [hole(hole_sort)]
-    all_contexts: list[Term] = [hole(hole_sort)]
+    ctx_by_sort[hole_sort] = [empty]
+    all_contexts: list[Term] = [empty]
     for d in range(1, depth + 1):
+        # contexts known so far are all shallower than d; ground terms
+        # are filtered to the same bound
+        shallower = {s: [t for t in ts if depth_of[t] < d] for s, ts in ground.items()}
         level: list[Term] = []
         for f in trs.symbols:
-            if f.arity == 0:
-                continue
-            for slot in range(1, f.arity + 1):
-                ctx_pool = [
-                    c
-                    for c in ctx_by_sort.get(f.arg_sorts[slot - 1], [])
-                    if term_depth(c) <= d - 1
-                ]
-                if not ctx_pool:
-                    continue
-                other_pools = []
-                feasible = True
-                for j, s in enumerate(f.arg_sorts, start=1):
-                    if j == slot:
-                        continue
-                    pool = [t for t in ground_by_sort.get(s, []) if term_depth(t) <= d - 1]
-                    if not pool:
-                        feasible = False
-                        break
-                    other_pools.append(pool)
-                if not feasible:
-                    continue
-                pools: list[list[Term]] = []
-                k = 0
-                for j in range(1, f.arity + 1):
-                    if j == slot:
-                        pools.append(ctx_pool)
-                    else:
-                        pools.append(other_pools[k])
-                        k += 1
-                for args in _ordered_product(pools):
-                    if 1 + max(term_depth(a) for a in args) != d:
-                        continue
-                    level.append(App(f, args))
+            for slot in range(f.arity):
+                pools = [shallower.get(s, []) for s in f.arg_sorts]
+                pools[slot] = ctx_by_sort.get(f.arg_sorts[slot], [])
+                for args in product(*pools):
+                    if max(depth_of[a] for a in args) == d - 1:
+                        c = App(f, args)
+                        level.append(c)
+                        depth_of[c] = d
         for c in level:
             ctx_by_sort.setdefault(c.symbol.result_sort, []).append(c)
         all_contexts.extend(level)
@@ -185,7 +154,7 @@ def brute_force_redundant(
     arg_pools = [
         enumerate_ground_terms(trs, s, bounds.term_depth - 1) for s in sym.arg_sorts
     ]
-    subjects = [App(sym, args) for args in _ordered_product(arg_pools)]
+    subjects = [App(sym, args) for args in product(*arg_pools)]
     replacements = enumerate_ground_terms(
         trs, sym.arg_sorts[i - 1], bounds.term_depth
     )
@@ -227,34 +196,20 @@ def brute_force_redundant(
 # ---------------------------------------------------------------------------
 # Differential verification of an erasure
 
-def _min_depths(trs: Trs) -> tuple[dict[Sort, int], dict[str, int]]:
-    """Minimal ground-term depth per sort and per symbol."""
-    sort_depth: dict[Sort, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for f in trs.symbols:
-            if all(s in sort_depth for s in f.arg_sorts):
-                d = 1 + max((sort_depth[s] for s in f.arg_sorts), default=0)
-                if d < sort_depth.get(f.result_sort, 1 << 30):
-                    sort_depth[f.result_sort] = d
-                    changed = True
-    sym_depth = {
-        f.name: 1 + max((sort_depth[s] for s in f.arg_sorts), default=0)
-        for f in trs.symbols
-        if all(s in sort_depth for s in f.arg_sorts)
-    }
-    return sort_depth, sym_depth
-
-
 def random_ground_term(
     trs: Trs, sort: Sort, depth: int, rng: random.Random
 ) -> Term:
     """A random ground term of the sort within the depth budget, over
     the full signature."""
-    sort_depth, sym_depth = _min_depths(trs)
-    if sort not in sort_depth or sort_depth[sort] > depth:
+    least = trs.least_ground_terms
+    if sort not in least or least[sort][0] > depth:
         raise EmptySort(sort, depth)
+    # least depth of a ground term rooted at each symbol
+    sym_depth = {
+        f.name: 1 + max((least[s][0] for s in f.arg_sorts), default=0)
+        for f in trs.symbols
+        if all(s in least for s in f.arg_sorts)
+    }
 
     def build(s: Sort, budget: int) -> Term:
         candidates = [
@@ -311,8 +266,8 @@ def differential_verify(
     """
     erased = erase_trs(trs, rho, suffix)
     rng = random.Random(seed)
-    sort_depth, _ = _min_depths(trs)
-    sorts = [s for s in trs.sorts if sort_depth.get(s, 1 << 30) <= depth]
+    least = trs.least_ground_terms
+    sorts = [s for s in trs.sorts if s in least and least[s][0] <= depth]
     if not sorts:
         raise EmptySort(trs.sorts[0] if trs.sorts else "?", depth)
     agree = disagree = indeterminate = nonvalue = 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import is_
 from typing import TYPE_CHECKING, Optional
 
@@ -77,15 +76,6 @@ class SemanticsResult:
     truncated: bool
 
 
-@lru_cache(maxsize=128)
-def _root_index(rules: tuple["Rule", ...]) -> dict[str, tuple["Rule", ...]]:
-    index: dict[str, list["Rule"]] = {}
-    for rule in rules:
-        assert isinstance(rule.lhs, App)
-        index.setdefault(rule.lhs.symbol.name, []).append(rule)
-    return {name: tuple(rs) for name, rs in index.items()}
-
-
 def _match_at(t: Term, rules: tuple["Rule", ...]) -> Optional[tuple["Rule", Substitution]]:
     """First rule (file order) whose lhs matches t at the root."""
     for rule in rules:
@@ -107,7 +97,7 @@ def rewrite_step(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     innermost = strategy == "leftmost-innermost"
-    index = _root_index(trs.rules)
+    index = trs.rules_by_root
 
     def at_root(s: Term) -> Optional[tuple[Term, Position, "Rule"]]:
         hit = _match_at(s, index.get(s.symbol.name, ()))
@@ -186,7 +176,7 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
     trace: Optional[list[TraceStep]] = [] if want_trace else None
     if isinstance(t, Var):
         return _outcome(t, 0, trace)
-    index = _root_index(trs.rules)
+    index = trs.rules_by_root
     last = t  # the whole term after the last step, for the trace
     steps = 0
     stack: list[list] = [[t, _NO_BINDINGS, []]]
@@ -261,19 +251,19 @@ def normalize(
 
 
 def join(
-    t: Term,
-    s: Term,
-    trs: "Trs",
-    fuel: int = DEFAULT_FUEL,
-    strategy: str = "leftmost-innermost",
+    t: Term, s: Term, trs: "Trs", fuel: int = DEFAULT_FUEL
 ) -> tuple[Optional[bool], Optional[Term]]:
-    """Normalize each side once: (joinable, common reduct).
+    """Normalize each side once, leftmost-innermost: (joinable, common
+    reduct).
 
     joinable is tri-state, None when either side runs out of fuel; the
     common reduct is the shared normal form, or None when not joinable.
+    The strategy is fixed: on the confluent, terminating systems where
+    callers rely on the answer, every strategy reaches the same normal
+    form.
     """
-    a = normalize(t, trs, strategy, fuel)
-    b = normalize(s, trs, strategy, fuel)
+    a = normalize(t, trs, fuel=fuel)
+    b = normalize(s, trs, fuel=fuel)
     if a.exhausted or b.exhausted:
         return None, None
     if a.term != b.term:
@@ -282,29 +272,21 @@ def join(
 
 
 def joinable(
-    t: Term,
-    s: Term,
-    trs: "Trs",
-    fuel: int = DEFAULT_FUEL,
-    strategy: str = "leftmost-innermost",
+    t: Term, s: Term, trs: "Trs", fuel: int = DEFAULT_FUEL
 ) -> Optional[bool]:
     """Whether t and s normalize to the same term.
 
     Tri-state: None when either side runs out of fuel.  Complete only
     on confluent, terminating systems; callers gate on those checks.
     """
-    return join(t, s, trs, fuel, strategy)[0]
+    return join(t, s, trs, fuel)[0]
 
 
 def common_reduct(
-    t: Term,
-    s: Term,
-    trs: "Trs",
-    fuel: int = DEFAULT_FUEL,
-    strategy: str = "leftmost-innermost",
+    t: Term, s: Term, trs: "Trs", fuel: int = DEFAULT_FUEL
 ) -> Optional[Term]:
     """The shared normal form when joinable, else None."""
-    return join(t, s, trs, fuel, strategy)[1]
+    return join(t, s, trs, fuel)[1]
 
 
 def evaluate(
@@ -341,14 +323,57 @@ def _reducts(s: Term, index: dict[str, tuple["Rule", ...]]) -> list[Term]:
 def successors(t: Term, trs: "Trs") -> list[Term]:
     """All one-step reducts of t, deduplicated, in deterministic order
     (position preorder, then rule order)."""
-    return list(dict.fromkeys(_reducts(t, _root_index(trs.rules))))
+    return list(dict.fromkeys(_reducts(t, trs.rules_by_root)))
 
 
 def _has_root_redex(t: Term, trs: "Trs") -> bool:
     if isinstance(t, Var):
         return False
-    rules = _root_index(trs.rules).get(t.symbol.name, ())
-    return _match_at(t, rules) is not None
+    return _match_at(t, trs.rules_for(t.symbol.name)) is not None
+
+
+Reached = dict[Term, Optional[list[Term]]]
+
+
+def explore(
+    t: Term,
+    trs: "Trs",
+    max_terms: int = DEFAULT_MAX_TERMS,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> tuple[Reached, bool]:
+    """Breadth-first closure of the rewrite relation from t, which may
+    be an open term.
+
+    Returns (reached, truncated).  reached holds every discovered term
+    in discovery order, mapped to its successors (see successors) once
+    it is expanded, or to None when a cap left it unexpanded.  A term
+    costs one step per successor.  At most max_terms terms are
+    discovered; the search stops before an expansion that would take
+    the total over max_steps.  truncated is set iff a cap was hit.
+    """
+    reached: Reached = {t: None}
+    queue: deque[Term] = deque([t])
+    truncated = False
+    step_budget = max_steps
+    while queue:
+        u = queue.popleft()
+        succs = successors(u, trs)
+        if step_budget - len(succs) < 0:
+            truncated = True
+            break
+        step_budget -= len(succs)
+        reached[u] = succs
+        for v in succs:
+            if v in reached:
+                continue
+            if len(reached) >= max_terms:
+                truncated = True
+                continue
+            reached[v] = None
+            queue.append(v)
+    if queue:
+        truncated = True
+    return reached, truncated
 
 
 def bounded_semantics(
@@ -357,8 +382,8 @@ def bounded_semantics(
     max_terms: int = DEFAULT_MAX_TERMS,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> SemanticsResult:
-    """Breadth-first closure of the rewrite relation, with the
-    derived term sets.
+    """The derived term sets of the breadth-first closure (explore) of
+    a ground term.
 
     sred: every reachable term discovered within the caps.
     seval: sred restricted to constructor-ground terms.
@@ -373,41 +398,15 @@ def bounded_semantics(
         raise WellFormednessError(
             f"bounded_semantics requires a ground term, got {format_term(t)}"
         )
-    discovered: dict[Term, None] = {t: None}
-    edges: list[tuple[Term, Term]] = []
-    expanded: set[Term] = set()
-    queue: deque[Term] = deque([t])
-    truncated = False
-    step_budget = max_steps
-    while queue:
-        u = queue.popleft()
-        succs = successors(u, trs)
-        if step_budget - len(succs) < 0:
-            truncated = True
-            break
-        step_budget -= len(succs)
-        expanded.add(u)
-        for v in succs:
-            edges.append((u, v))
-            if v in discovered:
-                continue
-            if len(discovered) >= max_terms:
-                truncated = True
-                continue
-            discovered[v] = None
-            queue.append(v)
-    if queue:
-        truncated = True
-
-    sred = frozenset(discovered)
+    reached, truncated = explore(t, trs, max_terms, max_steps)
+    sred = frozenset(reached)
     seval = frozenset(u for u in sred if is_constructor_ground(u))
-    succ_map: dict[Term, list[Term]] = {u: [] for u in sred}
+    snf = frozenset(u for u, succs in reached.items() if succs == [])
     pred_map: dict[Term, list[Term]] = {u: [] for u in sred}
-    for u, v in edges:
-        succ_map[u].append(v)
-        if v in pred_map:
-            pred_map[v].append(u)
-    snf = frozenset(u for u in expanded if not succ_map[u])
+    for u, succs in reached.items():
+        for v in succs or ():
+            if v in pred_map:
+                pred_map[v].append(u)
 
     # backward closure of root-redex terms: anything that can reach one
     # is not a head normal form

@@ -105,12 +105,28 @@ def sort_of(t: Term) -> Sort:
 
 
 def format_term(t: Term) -> str:
-    """Render a term: nullary applications bare, otherwise f(a, b)."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol.name
-    return f"{t.symbol.name}({', '.join(format_term(a) for a in t.args)})"
+    """Render a term: nullary applications bare, otherwise f(a, b).
+
+    Iterative, so that a term of any depth renders.
+    """
+    parts: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            parts.append(u)
+        elif isinstance(u, Var):
+            parts.append(u.name)
+        elif not u.args:
+            parts.append(u.symbol.name)
+        else:
+            parts.append(u.symbol.name + "(")
+            stack.append(")")
+            for k in range(len(u.args) - 1, -1, -1):
+                stack.append(u.args[k])
+                if k:
+                    stack.append(", ")
+    return "".join(parts)
 
 
 def format_position(p: Position) -> str:
@@ -181,19 +197,25 @@ def var_names(t: Term) -> set[str]:
     return {v.name for v in vars_of(t)}
 
 
-def is_linear(t: Term) -> bool:
-    """True iff no variable occurs twice in t."""
+def repeated_variable(t: Term) -> Optional[str]:
+    """The name of a variable that occurs twice in t (the first such
+    occurrence the walk meets), or None when t is linear."""
     seen: set[str] = set()
     stack = [t]
     while stack:
         u = stack.pop()
         if isinstance(u, Var):
             if u.name in seen:
-                return False
+                return u.name
             seen.add(u.name)
         else:
             stack.extend(u.args)
-    return True
+    return None
+
+
+def is_linear(t: Term) -> bool:
+    """True iff no variable occurs twice in t."""
+    return repeated_variable(t) is None
 
 
 def is_ground(t: Term) -> bool:

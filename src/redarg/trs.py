@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
@@ -27,9 +28,9 @@ from .terms import (
     Term,
     Var,
     format_term,
-    is_linear,
     iter_positions,
     positions,
+    repeated_variable,
     replace,
     sort_of,
     subterm,
@@ -54,20 +55,26 @@ class Rule:
 
 @dataclass(frozen=True)
 class Trs:
+    """A system and the facts derived from it.
+
+    The derived facts are cached properties, computed on first use: a
+    Trs is immutable, and callers must not mutate what they return.
+    """
+
     sorts: tuple[Sort, ...]
     symbols: tuple[FuncSymbol, ...]
     rules: tuple[Rule, ...]
     attestations: frozenset[str] = frozenset()
 
-    @property
+    @cached_property
     def symbol_map(self) -> dict[str, FuncSymbol]:
         return {f.name: f for f in self.symbols}
 
-    @property
+    @cached_property
     def constructors(self) -> tuple[FuncSymbol, ...]:
         return tuple(f for f in self.symbols if f.kind == "constructor")
 
-    @property
+    @cached_property
     def defined(self) -> tuple[FuncSymbol, ...]:
         return tuple(f for f in self.symbols if f.kind == "defined")
 
@@ -75,16 +82,28 @@ class Trs:
     def terminating_attested(self) -> bool:
         return "terminating" in self.attestations
 
-    def rules_for(self, f: FuncSymbol | str) -> tuple[Rule, ...]:
-        name = f if isinstance(f, str) else f.name
-        return tuple(
-            r
-            for r in self.rules
-            if isinstance(r.lhs, App) and r.lhs.symbol.name == name
-        )
+    @cached_property
+    def rules_by_root(self) -> dict[str, tuple[Rule, ...]]:
+        """The rules of each root symbol, in file order."""
+        index: dict[str, list[Rule]] = {}
+        for r in self.rules:
+            if isinstance(r.lhs, App):
+                index.setdefault(r.lhs.symbol.name, []).append(r)
+        return {name: tuple(rs) for name, rs in index.items()}
 
-    def rule_index(self, rule: Rule) -> int:
-        return self.rules.index(rule)
+    def rules_for(self, f: FuncSymbol | str) -> tuple[Rule, ...]:
+        return self.rules_by_root.get(f if isinstance(f, str) else f.name, ())
+
+    @cached_property
+    def least_constructor_terms(self) -> dict[Sort, tuple[int, Term]]:
+        """Per sort with a ground constructor term: the least depth of
+        one, and the designated constant (see designated_constant)."""
+        return _least_depth_terms(self.constructors)
+
+    @cached_property
+    def least_ground_terms(self) -> dict[Sort, tuple[int, Term]]:
+        """As least_constructor_terms, over the full signature."""
+        return _least_depth_terms(self.symbols)
 
 
 @dataclass(frozen=True)
@@ -149,7 +168,11 @@ def _tokenize_term(text: str, line: int) -> list[str]:
 
 
 def _parse_term_node(tokens: list[str], line: int) -> _TermNode:
-    def parse(idx: int) -> tuple[_TermNode, int]:
+    """Parse one term; iterative, so nesting depth is not limited by the
+    interpreter's recursion limit."""
+    open_calls: list[_TermNode] = []  # applications still reading arguments
+    idx = 0
+    while True:
         if idx >= len(tokens):
             raise ParseError("unexpected end of term", line)
         name = tokens[idx]
@@ -158,26 +181,29 @@ def _parse_term_node(tokens: list[str], line: int) -> _TermNode:
         idx += 1
         if idx < len(tokens) and tokens[idx] == "(":
             idx += 1
-            args: list[_TermNode] = []
-            if idx < len(tokens) and tokens[idx] == ")":
-                return _TermNode(name, args, True), idx + 1
-            while True:
-                node, idx = parse(idx)
-                args.append(node)
-                if idx >= len(tokens):
-                    raise ParseError("unclosed parenthesis in term", line)
-                if tokens[idx] == ",":
-                    idx += 1
-                    continue
-                if tokens[idx] == ")":
-                    return _TermNode(name, args, True), idx + 1
+            node = _TermNode(name, [], True)
+            if idx >= len(tokens) or tokens[idx] != ")":
+                open_calls.append(node)
+                continue  # parse its first argument
+            idx += 1
+        else:
+            node = _TermNode(name, [], False)
+        # node is complete: add it to its parent, closing what it completes
+        while open_calls:
+            open_calls[-1].args.append(node)
+            if idx >= len(tokens):
+                raise ParseError("unclosed parenthesis in term", line)
+            if tokens[idx] == ",":
+                idx += 1
+                break  # parse the next argument
+            if tokens[idx] != ")":
                 raise ParseError(f"expected ',' or ')', got {tokens[idx]!r}", line)
-        return _TermNode(name, [], False), idx
-
-    node, idx = parse(0)
-    if idx != len(tokens):
-        raise ParseError(f"trailing tokens after term: {tokens[idx]!r}", line)
-    return node
+            idx += 1
+            node = open_calls.pop()
+        else:
+            if idx != len(tokens):
+                raise ParseError(f"trailing tokens after term: {tokens[idx]!r}", line)
+            return node
 
 
 def _resolve_node(
@@ -187,43 +213,61 @@ def _resolve_node(
     var_sorts: dict[str, Sort],
     line: int,
 ) -> Term:
-    sym = symbols.get(node.name)
-    if sym is not None:
-        if len(node.args) != sym.arity:
-            raise WellFormednessError(
-                f"line {line}: {sym.name} expects {sym.arity} arguments, "
-                f"got {len(node.args)}"
-            )
-        if expected is not None and sym.result_sort != expected:
-            raise WellFormednessError(
-                f"line {line}: {sym.name} has sort {sym.result_sort}, "
-                f"expected {expected}"
-            )
-        args = tuple(
-            _resolve_node(a, s, symbols, var_sorts, line)
-            for a, s in zip(node.args, sym.arg_sorts)
-        )
-        return App(sym, args)
-    # undeclared identifier: a variable
-    if node.args or node.call:
-        raise WellFormednessError(
-            f"line {line}: undeclared symbol {node.name} used with arguments"
-        )
-    if expected is None:
-        known = var_sorts.get(node.name)
-        if known is None:
-            raise WellFormednessError(
-                f"line {line}: cannot infer sort of variable {node.name}"
-            )
-        expected = known
-    prev = var_sorts.get(node.name)
-    if prev is None:
-        var_sorts[node.name] = expected
-    elif prev != expected:
-        raise WellFormednessError(
-            f"line {line}: variable {node.name} used at sorts {prev} and {expected}"
-        )
-    return Var(node.name, expected)
+    """Resolve symbols and infer variable sorts, in preorder, left to
+    right; iterative, like _parse_term_node."""
+    # applications whose arguments are being resolved: (symbol, argument
+    # nodes, resolved arguments)
+    open_apps: list[tuple[FuncSymbol, list[_TermNode], list[Term]]] = []
+    while True:
+        sym = symbols.get(node.name)
+        if sym is not None:
+            if len(node.args) != sym.arity:
+                raise WellFormednessError(
+                    f"line {line}: {sym.name} expects {sym.arity} arguments, "
+                    f"got {len(node.args)}"
+                )
+            if expected is not None and sym.result_sort != expected:
+                raise WellFormednessError(
+                    f"line {line}: {sym.name} has sort {sym.result_sort}, "
+                    f"expected {expected}"
+                )
+            if node.args:
+                open_apps.append((sym, node.args, []))
+                node, expected = node.args[0], sym.arg_sorts[0]
+                continue
+            term: Term = App(sym, ())
+        else:
+            # undeclared identifier: a variable
+            if node.args or node.call:
+                raise WellFormednessError(
+                    f"line {line}: undeclared symbol {node.name} used with arguments"
+                )
+            if expected is None:
+                known = var_sorts.get(node.name)
+                if known is None:
+                    raise WellFormednessError(
+                        f"line {line}: cannot infer sort of variable {node.name}"
+                    )
+                expected = known
+            prev = var_sorts.get(node.name)
+            if prev is None:
+                var_sorts[node.name] = expected
+            elif prev != expected:
+                raise WellFormednessError(
+                    f"line {line}: variable {node.name} used at sorts {prev} and {expected}"
+                )
+            term = Var(node.name, expected)
+        # term is resolved: add it to its parent, building what it completes
+        while open_apps:
+            sym, arg_nodes, done = open_apps[-1]
+            done.append(term)
+            if len(done) < len(arg_nodes):
+                node, expected = arg_nodes[len(done)], sym.arg_sorts[len(done)]
+                break  # resolve the next argument
+            open_apps.pop()
+            term = App(sym, tuple(done))
+        else:
+            return term
 
 
 def parse_term(text: str, trs: "Trs | dict[str, FuncSymbol]", sort: Optional[Sort] = None) -> Term:
@@ -383,16 +427,9 @@ def check_left_linear(trs: Trs) -> tuple[bool, Optional[tuple[Rule, str]]]:
     """True iff every lhs is linear; otherwise the offending rule and the
     repeated variable."""
     for rule in trs.rules:
-        seen: set[str] = set()
-        stack = [rule.lhs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Var):
-                if t.name in seen:
-                    return False, (rule, t.name)
-                seen.add(t.name)
-            else:
-                stack.extend(t.args)
+        name = repeated_variable(rule.lhs)
+        if name is not None:
+            return False, (rule, name)
     return True, None
 
 
@@ -503,21 +540,6 @@ def check_confluence(
     return "yes-knuth-bendix", None
 
 
-def _realizable_sorts(trs: Trs) -> set[Sort]:
-    """Sorts with at least one ground constructor term."""
-    realizable: set[Sort] = set()
-    changed = True
-    while changed:
-        changed = False
-        for f in trs.constructors:
-            if f.result_sort in realizable:
-                continue
-            if all(s in realizable for s in f.arg_sorts):
-                realizable.add(f.result_sort)
-                changed = True
-    return realizable
-
-
 def _find_uncovered(
     arg_sorts: list[Sort],
     rows: list[tuple[Term, ...]],
@@ -588,22 +610,17 @@ def check_completely_defined(
         raise NotAConstructorSystem(
             f"not a constructor system (rule: {cs_witness})"
         )
-    realizable = _realizable_sorts(trs)
     ground_rep = designated_constants(trs)
     constructors_by_sort: dict[Sort, list[FuncSymbol]] = {}
     for c in trs.constructors:
         constructors_by_sort.setdefault(c.result_sort, []).append(c)
     for f in trs.defined:
-        bad = [s for s in f.arg_sorts if s not in realizable]
+        bad = [s for s in f.arg_sorts if s not in trs.least_constructor_terms]
         if bad:
             return False, None, (
                 f"{f.name}: argument sort {bad[0]} has no ground constructor terms"
             )
-        rows = [
-            r.lhs.args
-            for r in trs.rules_for(f)
-            if isinstance(r.lhs, App)
-        ]
+        rows = [r.lhs.args for r in trs.rules_for(f)]
         witness_args = _find_uncovered(
             list(f.arg_sorts), rows, constructors_by_sort, ground_rep
         )
@@ -654,46 +671,52 @@ def build_property_report(trs: Trs, fuel: int = DEFAULT_FUEL) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# Designated per-sort constants
+# Ground terms of least depth, and designated per-sort constants
 
-def designated_constant(trs: Trs, sort: Sort) -> Term:
-    """The canonical ground constructor term of a sort.
+def _least_depth_terms(symbols: tuple[FuncSymbol, ...]) -> dict[Sort, tuple[int, Term]]:
+    """Per inhabited sort, the least depth of a ground term over the
+    symbols, and the first term of that depth the fixpoint builds.
 
-    The first declared nullary constructor wins; otherwise the
-    smallest ground constructor term by (depth, declaration order).
+    Each pass visits the symbols in declaration order and uses the
+    terms known at that point of the pass.  A sort takes a new term
+    only when it is strictly shallower than the one it has, so the
+    first term found at the least depth stays.
     """
-    for c in trs.constructors:
-        if c.result_sort == sort and c.arity == 0:
-            return App(c, ())
-    # minimal-depth ground term per sort, built by fixpoint
-    depth: dict[Sort, int] = {}
-    best: dict[Sort, Term] = {}
+    least: dict[Sort, tuple[int, Term]] = {}
     changed = True
     while changed:
         changed = False
-        for c in trs.constructors:
-            if all(s in depth for s in c.arg_sorts):
-                d = 1 + max((depth[s] for s in c.arg_sorts), default=0)
-                if c.result_sort not in depth or d < depth[c.result_sort]:
-                    depth[c.result_sort] = d
-                    best[c.result_sort] = App(
-                        c, tuple(best[s] for s in c.arg_sorts)
-                    )
+        for f in symbols:
+            if all(s in least for s in f.arg_sorts):
+                d = 1 + max((least[s][0] for s in f.arg_sorts), default=0)
+                if f.result_sort not in least or d < least[f.result_sort][0]:
+                    args = tuple(least[s][1] for s in f.arg_sorts)
+                    least[f.result_sort] = (d, App(f, args))
                     changed = True
-    if sort not in best:
+    return least
+
+
+def designated_constant(trs: Trs, sort: Sort) -> Term:
+    """The canonical ground constructor term of a sort: the first
+    constructor term of least depth that the fixpoint of
+    _least_depth_terms finds.
+
+    So the first declared nullary constructor wins.  Among deeper terms
+    the first one found wins, which is not always the first by
+    declaration order: with `cons c1 : T -> U`, `cons v0 : V`,
+    `cons c2 : V -> U`, `cons t0 : T` the first pass knows v0 but not
+    yet t0 when it reaches c2, so U gets c2(v0), not c1(t0).
+    """
+    least = trs.least_constructor_terms.get(sort)
+    if least is None:
         raise NoGroundConstant(sort)
-    return best[sort]
+    return least[1]
 
 
 def designated_constants(trs: Trs) -> dict[Sort, Term]:
     """Designated constants for every realizable sort of the system."""
-    out: dict[Sort, Term] = {}
-    for s in trs.sorts:
-        try:
-            out[s] = designated_constant(trs, s)
-        except NoGroundConstant:
-            continue
-    return out
+    least = trs.least_constructor_terms
+    return {s: least[s][1] for s in trs.sorts if s in least}
 
 
 # ---------------------------------------------------------------------------

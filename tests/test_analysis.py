@@ -302,3 +302,20 @@ def test_redundancy_set_accessors(applast):
     assert red.get("missing") == frozenset()
     assert red.total_indices() == 3
     assert ("applast", 1) in red and ("applast", 2) not in red
+
+
+def test_analyze_checks_the_triples_of_a_candidate_once(bogus, monkeypatch):
+    # (loop, 3) passes the variable check in both rounds, but its triple
+    # verdict does not depend on the round, so it is not redone
+    import redarg.analysis as analysis
+
+    calls = []
+    real = analysis.fi_triples
+
+    def counted(trs, f, i):
+        calls.append((f, i))
+        return real(trs, f, i)
+
+    monkeypatch.setattr(analysis, "fi_triples", counted)
+    assert analyze(bogus).rounds == 2
+    assert calls == [("loop", 3)]

@@ -215,6 +215,27 @@ def test_eval_rejects_bad_term(cli):
     assert "unclosed parenthesis" in err
 
 
+def tower(n: int) -> str:
+    return "S(" * n + "Z" + ")" * n
+
+
+def test_eval_deep_goal(cli):
+    big = tower(3000)
+    rc, out, err = cli("eval", str(corpus_path("plus_minus.trs")),
+                       "-e", f"minus_pe({big}, {big})")
+    assert rc == 0 and err == ""
+    assert out == f"value {big}\n"
+
+
+def test_eval_deep_goal_trace(cli):
+    rc, out, err = cli("eval", str(corpus_path("plus_minus.trs")),
+                       "-e", f"minus_pe({tower(400)}, Z)", "--trace")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 402 and lines[-1] == "value Z"
+    assert lines[0] == f"e: minus_pe({tower(400)}, Z) -> minus_pe({tower(399)}, Z) [r2]"
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_clean(cli):
@@ -327,6 +348,28 @@ def test_fuel_env_rejects_garbage(cli, monkeypatch):
     rc, _, err = cli("eval", str(corpus_path("bogus.trs")), "-e", "loop(Z, Z, Z)")
     assert rc == 2
     assert "REDARG_FUEL is not an integer" in err
+
+
+@pytest.mark.parametrize("command", [
+    "eval bogus.trs -e loop(Z,Z,Z) --fuel -5",
+    "analyze bogus.trs --fuel -1",
+    "verify bogus.trs --trials -3",
+    "verify bogus.trs --depth -1",
+    "oracle bogus.trs -f loop -i 2 --ctx-depth -1",
+    "oracle bogus.trs -f loop -i 2 --term-depth -2",
+    "oracle bogus.trs -f loop -i 2 --max-cases -10",
+    "verify bogus.trs --trials many",
+    "REDARG_FUEL=-5 eval bogus.trs -e loop(Z,Z,Z)",
+])
+def test_negative_numeric_values_exit_2(cli, monkeypatch, corpus_dir, command):
+    words = command.split()
+    if "=" in words[0]:
+        name, value = words.pop(0).split("=")
+        monkeypatch.setenv(name, value)
+    words[1] = str(corpus_dir / words[1])
+    rc, out, err = cli(*words)
+    assert rc == 2 and out == ""
+    assert "not an integer >= 0" in err
 
 
 def test_missing_file(cli):

@@ -21,6 +21,7 @@ from redarg.rewrite import (
     DEFAULT_FUEL,
     TraceStep,
     common_reduct,
+    explore,
     is_constructor_ground,
     is_normal_form,
     successors,
@@ -301,6 +302,19 @@ def test_bounded_semantics_truncation():
     assert sem.truncated
     sem2 = bounded_semantics(parse_term("w(Z)", LOOP), LOOP, max_steps=10)
     assert sem2.truncated
+
+
+def test_explore_open_terms_and_caps():
+    # every discovered term maps to its successors once expanded, or to
+    # None when a cap left it unexpanded; variables stay as they are
+    reached, truncated = explore(t("f(g(x))"), STRATEGY_DEMO)
+    assert not truncated
+    assert {str(u): [str(v) for v in s] for u, s in reached.items()} == {
+        "f(g(x))": ["Z"], "Z": []}
+    reached, truncated = explore(t("w(x)", LOOP), LOOP, max_steps=2)
+    assert truncated
+    assert [(str(u), s and [str(v) for v in s]) for u, s in reached.items()] == [
+        ("w(x)", ["w(S(x))"]), ("w(S(x))", ["w(S(S(x)))"]), ("w(S(S(x)))", None)]
 
 
 def test_bounded_semantics_requires_ground():

@@ -27,6 +27,8 @@ from redarg import (
 )
 from redarg.trs import canonical_rule
 
+from conftest import load_corpus
+
 NAT_SYSTEM = """\
 sort Nat
 cons Z : Nat
@@ -289,6 +291,52 @@ def test_designated_constant_composite():
     )
     # smallest ground E term is pair(mk)
     assert format_term(designated_constant(trs, "E")) == "pair(mk)"
+
+
+def test_designated_constant_keeps_first_found_at_least_depth():
+    trs = parse_trs(
+        "sort T\nsort U\nsort V\n"
+        "cons c1 : T -> U\ncons v0 : V\ncons c2 : V -> U\ncons t0 : T\n"
+    )
+    # the first pass reaches c2 knowing v0 but not yet t0
+    assert format_term(designated_constant(trs, "U")) == "c2(v0)"
+
+
+CORPUS_CONSTANTS = {
+    "applast.trs": {"Nat": "Z", "List": "nil"},
+    "bogus.trs": {"Nat": "Z"},
+    "double_even.trs": {"Nat": "Z", "Bool": "True"},
+    "expected/applast_reduced.trs": {"Nat": "Z", "List": "nil"},
+    "expected/bogus_reduced.trs": {"Nat": "Z"},
+    "expected/double_even_reduced.trs": {"Nat": "Z", "Bool": "True"},
+    "expected/mutrec1_reduced.trs": {"Nat": "Z"},
+    "expected/mutrec2_reduced.trs": {"Nat": "Z"},
+    "expected/plus_leq_reduced.trs": {"Nat": "Z", "Bool": "True"},
+    "expected/plus_minus_reduced.trs": {"Nat": "Z"},
+    "expected/sum_allzeros_reduced.trs": {"Nat": "Z", "List": "nil"},
+    "mutrec1.trs": {"Nat": "Z"},
+    "mutrec2.trs": {"Nat": "Z"},
+    "negative/collapse.trs": {"U": "a"},
+    "negative/four_rules.trs": {"AB": "a"},
+    "negative/nonconfluent.trs": {"Nat": "Z"},
+    "negative/noncs.trs": {"AB": "a"},
+    "negative/partial.trs": {"Nat": "Z"},
+    "originals/double_even.trs": {"Nat": "Z", "Bool": "True"},
+    "originals/plus_leq.trs": {"Nat": "Z", "Bool": "True"},
+    "originals/sum_allzeros.trs": {"Nat": "Z", "List": "nil"},
+    "plus_leq.trs": {"Nat": "Z", "Bool": "True"},
+    "plus_minus.trs": {"Nat": "Z"},
+    "sum_allzeros.trs": {"Nat": "Z", "List": "nil"},
+}
+
+
+def test_designated_constants_of_the_corpus(corpus_dir):
+    files = sorted(str(p.relative_to(corpus_dir)) for p in corpus_dir.rglob("*.trs"))
+    assert files == sorted(CORPUS_CONSTANTS)
+    for relpath, expected in CORPUS_CONSTANTS.items():
+        trs = load_corpus(relpath)
+        got = {s: format_term(designated_constant(trs, s)) for s in trs.sorts}
+        assert got == expected, relpath
 
 
 def test_designated_constant_missing():
