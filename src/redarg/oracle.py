@@ -204,20 +204,10 @@ def random_ground_term(
     least = trs.least_ground_terms
     if sort not in least or least[sort][0] > depth:
         raise EmptySort(sort, depth)
-    # least depth of a ground term rooted at each symbol
-    sym_depth = {
-        f.name: 1 + max((least[s][0] for s in f.arg_sorts), default=0)
-        for f in trs.symbols
-        if all(s in least for s in f.arg_sorts)
-    }
+    roots = trs.ground_roots
 
     def build(s: Sort, budget: int) -> Term:
-        candidates = [
-            f
-            for f in trs.symbols
-            if f.result_sort == s and sym_depth.get(f.name, 1 << 30) <= budget
-        ]
-        f = rng.choice(candidates)
+        f = rng.choice([f for f, d in roots[s] if d <= budget])
         return App(f, tuple(build(a, budget - 1) for a in f.arg_sorts))
 
     return build(sort, depth)

@@ -32,6 +32,9 @@ if TYPE_CHECKING:
 DEFAULT_FUEL = 10_000
 DEFAULT_MAX_TERMS = 5_000
 DEFAULT_MAX_STEPS = 20_000
+# entries of a system's one-step-reducts memo (Trs.reducts_memo) before
+# it is cleared; the largest oracle probe of the corpus needs about 280k
+REDUCTS_MEMO_CAP = 500_000
 
 STRATEGIES = ("leftmost-innermost", "leftmost-outermost")
 
@@ -302,28 +305,41 @@ def evaluate(
     return normalize(t, trs, strategy, fuel, want_trace)
 
 
-def _reducts(s: Term, index: dict[str, tuple["Rule", ...]]) -> list[Term]:
-    """One-step reducts of s in position-preorder, rule order within a
-    position.  Siblings of the rewritten path are shared, not copied."""
+def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
+    """The one-step reducts of s, deduplicated, in position preorder and
+    rule order within a position.  Siblings of the rewritten path are
+    shared, not copied.
+
+    Memoized per subterm in trs.reducts_memo: terms are immutable and
+    interned, so an entry stays valid and a lookup never walks a term.
+    The memo is cleared when it reaches REDUCTS_MEMO_CAP entries.
+    """
     if isinstance(s, Var):
-        return []
+        return ()
+    memo = trs.reducts_memo
+    found = memo.get(s)
+    if found is not None:
+        return found
     res: list[Term] = []
-    for rule in index.get(s.symbol.name, ()):
+    for rule in trs.rules_by_root.get(s.symbol.name, ()):
         sigma = match(rule.lhs, s)
         if sigma is not None:
             res.append(sigma.apply(rule.rhs))
-    for i, a in enumerate(s.args):
-        for red in _reducts(a, index):
-            args = list(s.args)
-            args[i] = red
-            res.append(App(s.symbol, tuple(args)))
-    return res
+    args = s.args
+    for i, a in enumerate(args):
+        for red in _reducts(a, trs):
+            res.append(App(s.symbol, args[:i] + (red,) + args[i + 1 :]))
+    found = tuple(dict.fromkeys(res))
+    if len(memo) >= REDUCTS_MEMO_CAP:
+        memo.clear()
+    memo[s] = found
+    return found
 
 
 def successors(t: Term, trs: "Trs") -> list[Term]:
     """All one-step reducts of t, deduplicated, in deterministic order
     (position preorder, then rule order)."""
-    return list(dict.fromkeys(_reducts(t, trs.rules_by_root)))
+    return list(_reducts(t, trs))
 
 
 def _has_root_redex(t: Term, trs: "Trs") -> bool:

@@ -9,6 +9,7 @@ this algebra.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Union
 
@@ -30,6 +31,16 @@ class FuncSymbol:
     arg_sorts: tuple[Sort, ...]
     result_sort: Sort
     kind: str  # "constructor" | "defined"
+    # cached: every App construction hashes its symbol
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.arg_sorts, self.result_sort, self.kind))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -51,44 +62,94 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
+class _Entry(weakref.ref):
+    """A weak reference to an interned node that carries the node's key,
+    so the node's entry can be dropped from the table when it dies."""
+
+    __slots__ = ("key",)
+
+
+# (symbol, args) -> the one live App with that symbol and those args
+_interned: dict[tuple, _Entry] = {}
+
+
+def _drop(entry: _Entry) -> None:
+    """Drop a dead node's entry, unless a newer node has taken its key."""
+    found = _interned.pop(entry.key, None)
+    if found is not None and found is not entry:
+        _interned[entry.key] = found
+
+
 class App:
+    """An application of a function symbol; hash-consed.
+
+    App(symbol, args) returns the one live node with that symbol and
+    those arguments, so structural equality is identity and a comparison
+    never walks a term.  Arity and sorts are checked once, when a node
+    is first built.  Nodes are immutable and weakly interned: a node
+    nothing else refers to is dropped from the table.
+    """
+
+    __slots__ = ("symbol", "args", "_hash", "__weakref__")
+
     symbol: FuncSymbol
-    args: tuple["Term", ...] = ()
-    # hash is cached: closures and memo tables hash the same nodes heavily
-    _hash: int = field(init=False, repr=False, compare=False)
+    args: tuple["Term", ...]
+
+    def __new__(cls, symbol: FuncSymbol, args: tuple["Term", ...] = ()) -> "App":
+        key = (symbol, args)
+        entry = _interned.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(node, "symbol", symbol)
+        setattr_(node, "args", args)
+        node.__post_init__()
+        # the hash is structural, as before interning, so that the
+        # iteration order of term sets does not depend on identity
+        setattr_(node, "_hash", hash((symbol.name, args)))
+        entry = _Entry(node, _drop)
+        entry.key = key
+        _interned[key] = entry
+        return node
 
     def __post_init__(self) -> None:
+        """Check arity and sorts; runs once, when the node is first built."""
         if len(self.args) != self.symbol.arity:
             raise ArityMismatch(
                 f"{self.symbol.name} expects {self.symbol.arity} arguments, "
                 f"got {len(self.args)}"
             )
         for got, want in zip(self.args, self.symbol.arg_sorts):
-            if sort_of(got) != want:
+            if got.sort != want:
                 raise SortMismatch(
-                    f"argument of {self.symbol.name} has sort {sort_of(got)}, "
+                    f"argument of {self.symbol.name} has sort {got.sort}, "
                     f"expected {want}"
                 )
-        object.__setattr__(self, "_hash", hash((self.symbol.name, self.args)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"App is immutable; cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"App is immutable; cannot delete {name}")
+
+    # equality is identity (object's __eq__)
+    def __hash__(self) -> int:
+        return self._hash
+
+    # copy.copy and unpickling rebuild through App(...), which finds the
+    # node itself; a deep copy would walk the term, so it is the node too
+    def __reduce__(self):
+        return App, (self.symbol, self.args)
+
+    def __deepcopy__(self, memo: dict) -> "App":
+        return self
 
     @property
     def sort(self) -> Sort:
         return self.symbol.result_sort
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, App):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.symbol == other.symbol
-            and self.args == other.args
-        )
 
     def __str__(self) -> str:
         return format_term(self)
@@ -347,7 +408,9 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
             elif prev != u:
                 return None
         else:
-            if not isinstance(u, App) or u.symbol != p.symbol:
+            if not isinstance(u, App) or (
+                u.symbol is not p.symbol and u.symbol != p.symbol
+            ):
                 return None
             stack.extend(zip(p.args, u.args))
     return Substitution(bindings)

@@ -95,6 +95,12 @@ class Trs:
         return self.rules_by_root.get(f if isinstance(f, str) else f.name, ())
 
     @cached_property
+    def reducts_memo(self) -> dict[Term, tuple[Term, ...]]:
+        """The one-step reducts of each term expanded so far; filled,
+        and cleared at its cap, by rewrite._reducts."""
+        return {}
+
+    @cached_property
     def least_constructor_terms(self) -> dict[Sort, tuple[int, Term]]:
         """Per sort with a ground constructor term: the least depth of
         one, and the designated constant (see designated_constant)."""
@@ -104,6 +110,19 @@ class Trs:
     def least_ground_terms(self) -> dict[Sort, tuple[int, Term]]:
         """As least_constructor_terms, over the full signature."""
         return _least_depth_terms(self.symbols)
+
+    @cached_property
+    def ground_roots(self) -> dict[Sort, tuple[tuple[FuncSymbol, int], ...]]:
+        """Per sort, the symbols of that result sort that root a ground
+        term, in declaration order, each with the least depth of such a
+        term."""
+        least = self.least_ground_terms
+        roots: dict[Sort, list[tuple[FuncSymbol, int]]] = {}
+        for f in self.symbols:
+            if all(s in least for s in f.arg_sorts):
+                d = 1 + max((least[s][0] for s in f.arg_sorts), default=0)
+                roots.setdefault(f.result_sort, []).append((f, d))
+        return {s: tuple(fs) for s, fs in roots.items()}
 
 
 @dataclass(frozen=True)
@@ -480,19 +499,29 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     The inner rule is renamed apart.  A rule does not overlap with
     itself at the root; for distinct rules the root overlap is kept
     once (inner index < outer index), avoiding mirror duplicates.
+    Only positions whose root symbol is the inner lhs root can unify,
+    so the others are skipped before renaming and unifying.
     """
     pairs: list[CriticalPair] = []
     for outer_idx, outer in enumerate(trs.rules):
         outer_vars = var_names(outer.lhs) | var_names(outer.rhs)
+        subterms = [
+            (p, sub)
+            for p in sorted(iter_positions(outer.lhs))
+            if isinstance(sub := subterm(outer.lhs, p), App)
+        ]
         for inner_idx, inner in enumerate(trs.rules):
+            root = inner.lhs.symbol if isinstance(inner.lhs, App) else None
+            overlaps = [
+                (p, sub)
+                for p, sub in subterms
+                if (root is None or sub.symbol == root)
+                and (p or inner_idx < outer_idx)
+            ]
+            if not overlaps:
+                continue
             renamed = _rename_apart(inner, outer_vars)
-            for p in sorted(iter_positions(outer.lhs)):
-                sub = subterm(outer.lhs, p)
-                if isinstance(sub, Var):
-                    continue
-                if p == ():
-                    if inner_idx >= outer_idx:
-                        continue
+            for p, sub in overlaps:
                 sigma = unify(sub, renamed.lhs)
                 if sigma is None:
                     continue
@@ -630,15 +659,24 @@ def check_completely_defined(
     return True, None, None
 
 
-def check_seval_defined(trs: Trs) -> tuple[bool, Optional[str]]:
+def check_seval_defined(
+    trs: Trs,
+    completely_defined: Optional[tuple[bool, Optional[Term], Optional[str]]] = None,
+) -> tuple[bool, Optional[str]]:
     """True iff the system is completely defined and attested
-    terminating; otherwise the failing conjunct is named."""
+    terminating; otherwise the failing conjunct is named.
+
+    completely_defined is the result of check_completely_defined, when
+    the caller has it already.
+    """
     if not trs.terminating_attested:
         return False, "termination not attested"
-    try:
-        cd, witness, reason = check_completely_defined(trs)
-    except NotAConstructorSystem as exc:
-        return False, str(exc)
+    if completely_defined is None:
+        try:
+            completely_defined = check_completely_defined(trs)
+        except NotAConstructorSystem as exc:
+            return False, str(exc)
+    cd, witness, reason = completely_defined
     if not cd:
         detail = f" (witness {witness})" if witness is not None else f" ({reason})"
         return False, "not completely defined" + detail
@@ -649,11 +687,13 @@ def build_property_report(trs: Trs, fuel: int = DEFAULT_FUEL) -> PropertyReport:
     ll, ll_witness = check_left_linear(trs)
     cs, cs_witness = check_constructor_system(trs)
     if cs:
-        cd, cd_witness, cd_reason = check_completely_defined(trs)
+        completely_defined = check_completely_defined(trs)
+        cd, cd_witness, cd_reason = completely_defined
     else:
+        completely_defined = None
         cd, cd_witness, cd_reason = False, None, "not a constructor system"
     confluent, confluence_witness = check_confluence(trs, fuel=fuel)
-    seval, seval_reason = check_seval_defined(trs)
+    seval, seval_reason = check_seval_defined(trs, completely_defined)
     return PropertyReport(
         left_linear=ll,
         ll_witness=ll_witness,

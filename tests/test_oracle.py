@@ -144,6 +144,22 @@ def test_random_ground_term_deterministic(plus_minus):
     assert a == b == ["S(Z)"]
 
 
+@pytest.mark.parametrize("relpath, sort, depth, seed, draws", [
+    ("applast.trs", "List", 4, 3, [
+        "nil", "nil",
+        "cons(lastnew(Z, nil, lastnew(Z, nil, Z)), cons(lastnew(Z, nil, Z), nil))",
+        "cons(Z, nil)"]),
+    ("negative/four_rules.trs", "AB", 3, 5, ["f(b, f(b, a))", "b", "a", "f(a, a)"]),
+    ("mutrec2.trs", "Nat", 4, 9, ["S(f(S(Z)))", "Z", "Z", "f(Z)"]),
+])
+def test_random_ground_term_pinned_draws(relpath, sort, depth, seed, draws):
+    # seeded draws, and so verify's output, depend on the order of the
+    # candidate symbols; these were drawn before candidates were cached
+    trs = load_corpus(relpath)
+    rng = random.Random(seed)
+    assert [str(random_ground_term(trs, sort, depth, rng)) for _ in draws] == draws
+
+
 def test_random_ground_term_bounds(applast):
     rng = random.Random(3)
     for _ in range(50):

@@ -11,6 +11,7 @@ from redarg import (
     bounded_semantics,
     evaluate,
     joinable,
+    match,
     normalize,
     parse_term,
     parse_trs,
@@ -270,6 +271,49 @@ def test_successors_order_and_dedup(nonconfluent):
 
 def test_successors_empty_on_normal_form(applast):
     assert successors(parse_term("S(Z)", applast), applast) == []
+
+
+def reference_reducts(u, trs):
+    """One-step reducts of u with duplicates, unmemoized: root rules in
+    file order, then the reducts of each argument, left to right."""
+    if isinstance(u, Var):
+        return []
+    res = []
+    for rule in trs.rules_for(u.symbol):
+        sigma = match(rule.lhs, u)
+        if sigma is not None:
+            res.append(sigma.apply(rule.rhs))
+    for i, a in enumerate(u.args):
+        for red in reference_reducts(a, trs):
+            res.append(App(u.symbol, u.args[:i] + (red,) + u.args[i + 1 :]))
+    return res
+
+
+@pytest.mark.parametrize("relpath", CORPUS_SYSTEMS)
+def test_successors_agree_with_unmemoized_reducts(relpath):
+    trs = load_corpus(relpath)
+    rng = random.Random(relpath)
+    checked = 0
+    for k in range(12):
+        goal = random_term(trs, rng, open_term=k % 3 == 2)
+        reached, _ = explore(goal, trs, max_terms=200)
+        for u, succs in reached.items():
+            want = list(dict.fromkeys(reference_reducts(u, trs)))
+            assert successors(u, trs) == want
+            assert succs is None or succs == want
+            checked += 1
+    assert checked >= 12 and trs.reducts_memo
+
+
+def test_reducts_memo_is_cleared_at_its_cap(monkeypatch):
+    trs = load_corpus("applast.trs")
+    monkeypatch.setattr("redarg.rewrite.REDUCTS_MEMO_CAP", 5)
+    goal = parse_term("applast(cons(S(Z), cons(Z, nil)), applast(nil, S(Z)))", trs)
+    reached, truncated = explore(goal, trs)
+    assert not truncated
+    assert 0 < len(trs.reducts_memo) <= 5
+    for u, succs in reached.items():
+        assert succs == list(dict.fromkeys(reference_reducts(u, trs)))
 
 
 # --- bounded semantics ------------------------------------------------------

@@ -1,5 +1,8 @@
 """Term algebra: positions, substitution, matching, unification."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +68,54 @@ def test_term_equality_and_hash():
     assert s(z) != z
     assert Var("x", NAT) == Var("x", NAT)
     assert Var("x", NAT) != Var("x", "Bool")
+
+
+# --- hash-consing -----------------------------------------------------------
+
+def test_app_is_interned():
+    assert App(S, (z,)) is App(S, (z,))
+    assert App(F, (x, s(z))) is f(Var("x", NAT), s(App(Z)))
+    assert s(z) is not s(s(z))
+    # an equal symbol that is another object finds the same node
+    assert App(FuncSymbol("S", (NAT,), NAT, "constructor"), (z,)) is s(z)
+
+
+def test_app_errors_still_raise_on_a_known_shape():
+    with pytest.raises(ArityMismatch):
+        App(S, (z, z))
+    with pytest.raises(SortMismatch):
+        App(S, (App(FuncSymbol("b", (), "Bool", "constructor")),))
+    # the failed constructions left nothing behind
+    assert App(S, (z,)) is s(z)
+
+
+def test_app_is_immutable():
+    t = s(z)
+    with pytest.raises(AttributeError):
+        t.args = ()
+    with pytest.raises(AttributeError):
+        del t.symbol
+
+
+def test_copies_of_a_node_are_the_node():
+    t = f(s(z), x)
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert copy.deepcopy([t, {t: t}])[0] is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_deep_terms_compare_without_recursion():
+    def tower(depth):
+        t = App(Z)
+        for _ in range(depth):
+            t = App(S, (t,))
+        return t
+
+    a, b = tower(3000), tower(3000)
+    assert a == b and hash(a) == hash(b)
+    assert a is b
+    assert a != tower(2999)
 
 
 def test_format_term():

@@ -25,9 +25,12 @@ from redarg import (
     parse_trs,
     rules_alpha_equal,
 )
-from redarg.trs import canonical_rule
+from redarg.terms import iter_positions, replace, subterm, unify, var_names
+from redarg.trs import CriticalPair, _rename_apart, canonical_rule
 
-from conftest import load_corpus
+from conftest import CORPUS, load_corpus
+
+CORPUS_SYSTEMS = sorted(str(p.relative_to(CORPUS)) for p in CORPUS.glob("**/*.trs"))
 
 NAT_SYSTEM = """\
 sort Nat
@@ -190,6 +193,48 @@ def test_critical_pairs_rename_apart():
     assert critical_pairs(trs) == []
 
 
+def reference_critical_pairs(trs):
+    """critical_pairs without the root-symbol filter: unify at every
+    non-variable lhs position of every rule pair."""
+    pairs = []
+    for outer_idx, outer in enumerate(trs.rules):
+        outer_vars = var_names(outer.lhs) | var_names(outer.rhs)
+        for inner_idx, inner in enumerate(trs.rules):
+            renamed = _rename_apart(inner, outer_vars)
+            for p in sorted(iter_positions(outer.lhs)):
+                sub = subterm(outer.lhs, p)
+                if isinstance(sub, Var) or (p == () and inner_idx >= outer_idx):
+                    continue
+                sigma = unify(sub, renamed.lhs)
+                if sigma is None:
+                    continue
+                left = sigma.apply(replace(outer.lhs, p, renamed.rhs))
+                right = sigma.apply(outer.rhs)
+                pairs.append(CriticalPair(
+                    left, right, p == (), left == right, outer, inner, p))
+    return pairs
+
+
+@pytest.mark.parametrize("relpath", CORPUS_SYSTEMS)
+def test_critical_pairs_agree_with_unfiltered_loop(relpath):
+    trs = load_corpus(relpath)
+    assert critical_pairs(trs) == reference_critical_pairs(trs)
+
+
+def test_critical_pairs_agree_with_unfiltered_loop_on_nested_overlaps():
+    trs = parse_trs(
+        "sort N\ncons Z : N\ncons S : N -> N\n"
+        "fun f : N -> N\nfun g : N N -> N\n"
+        "rule f(S(x)) -> f(x)\n"
+        "rule f(y) -> Z\n"
+        "rule g(f(x), y) -> g(x, f(y))\n"
+        "rule g(x, f(S(y))) -> x\n"
+    )
+    cps = critical_pairs(trs)
+    assert cps == reference_critical_pairs(trs)
+    assert sorted({cp.position for cp in cps}) == [(), (1,), (2,)]
+
+
 def test_confluence_orthogonal(applast, noncs):
     assert check_confluence(applast) == ("yes-orthogonal", None)
     # noncs is left-linear with no overlaps; orthogonality does not
@@ -268,6 +313,20 @@ def test_seval_defined(applast, partial, bogus):
     assert not ok and reason == "not completely defined (witness g(Z))"
     no_pragma = parse_trs("sort N\ncons a : N\nfun f : N -> N\nrule f(x) -> a\n")
     assert check_seval_defined(no_pragma) == (False, "termination not attested")
+
+
+def test_property_report_checks_complete_definedness_once(applast, monkeypatch):
+    calls = []
+    real = check_completely_defined
+
+    def counted(trs):
+        calls.append(trs)
+        return real(trs)
+
+    monkeypatch.setattr("redarg.trs.check_completely_defined", counted)
+    rep = build_property_report(applast)
+    assert len(calls) == 1
+    assert rep.completely_defined and rep.seval_defined
 
 
 def test_property_report(applast):
