@@ -173,24 +173,15 @@ def is_fi_redundant_var(
     return True
 
 
-def _require(trs: Trs, report: PropertyReport, gates: Iterable[str]) -> None:
+VARIABLE_GATES = ("left-linear", "constructor-system")
+PATTERN_GATES = VARIABLE_GATES + ("confluent", "seval-defined")
+
+
+def _require(report: PropertyReport, gates: Iterable[str]) -> None:
+    failed = report.failed_gates
     for gate in gates:
-        if gate == "left-linear" and not report.left_linear:
-            rule, name = report.ll_witness
-            raise PreconditionUnmet(
-                "left-linear", f"variable {name} repeats in lhs of {rule}"
-            )
-        if gate == "constructor-system" and not report.constructor_system:
-            raise PreconditionUnmet(
-                "constructor-system", f"offending rule: {report.cs_witness}"
-            )
-        if gate == "confluent" and not report.confluent.startswith("yes"):
-            detail = f"confluence = {report.confluent}"
-            if report.confluence_witness is not None:
-                detail += f" (critical pair {report.confluence_witness})"
-            raise PreconditionUnmet("confluent", detail)
-        if gate == "seval-defined" and not report.seval_defined:
-            raise PreconditionUnmet("seval-defined", report.seval_reason or "")
+        if gate in failed:
+            raise PreconditionUnmet(gate, failed[gate])
 
 
 def _arg_vars_redundant(trs: Trs, fname: str, i: int, known: KnownMap) -> bool:
@@ -216,7 +207,7 @@ def variable_case(
     (f,i)-redundant in the rule's rhs.  Performs no rewriting."""
     if report is None:
         report = build_property_report(trs)
-    _require(trs, report, ("left-linear", "constructor-system"))
+    _require(report, VARIABLE_GATES)
     fname = f if isinstance(f, str) else f.name
     return all(
         isinstance(rule.lhs.args[i - 1], Var) for rule in trs.rules_for(fname)
@@ -346,11 +337,7 @@ def pattern_case(
     """
     if report is None:
         report = build_property_report(trs, fuel=fuel)
-    _require(
-        trs,
-        report,
-        ("left-linear", "constructor-system", "confluent", "seval-defined"),
-    )
+    _require(report, PATTERN_GATES)
     fname = f if isinstance(f, str) else f.name
     if not _arg_vars_redundant(trs, fname, i, known or {}):
         return False, ()
@@ -358,33 +345,26 @@ def pattern_case(
 
 
 def _gating_notes(report: PropertyReport) -> tuple[list[str], bool, bool]:
-    """Human-readable notes plus whether each method may run."""
-    notes: list[str] = []
-    var_ok = True
-    pat_ok = True
-    if not report.left_linear:
-        rule, name = report.ll_witness
-        notes.append(
-            f"variable and pattern case disabled: not left-linear "
-            f"(variable {name} repeats in {rule})"
-        )
-        var_ok = pat_ok = False
-    if not report.constructor_system:
-        notes.append(
-            f"variable and pattern case disabled: not a constructor system "
-            f"(rule: {report.cs_witness})"
-        )
-        var_ok = pat_ok = False
-    if pat_ok and not report.confluent.startswith("yes"):
-        note = f"pattern case disabled: confluence = {report.confluent}"
-        if report.confluence_witness is not None:
-            note += f" (critical pair {report.confluence_witness})"
-        notes.append(note)
-        pat_ok = False
-    if pat_ok and not report.seval_defined:
-        notes.append(f"pattern case disabled: {report.seval_reason}")
-        pat_ok = False
-    return notes, var_ok, pat_ok
+    """Notes on the methods the failed gates disable, plus whether each
+    method may run.  Every failed variable-case gate is noted; of the
+    other pattern-case gates only the first, and only when the variable
+    case may run."""
+    failed = report.failed_gates
+    phrase = {"left-linear": "not left-linear ({})",
+              "constructor-system": "not a constructor system ({})",
+              "confluent": "confluence = {}",
+              "seval-defined": "{}"}
+    notes = [
+        f"variable and pattern case disabled: {phrase[g].format(failed[g])}"
+        for g in VARIABLE_GATES
+        if g in failed
+    ]
+    if notes:
+        return notes, False, False
+    for g in PATTERN_GATES:
+        if g in failed:
+            return [f"pattern case disabled: {phrase[g].format(failed[g])}"], True, False
+    return [], True, True
 
 
 def analyze(
@@ -416,6 +396,14 @@ def analyze(
         for f in trs.defined:
             candidates.extend((f.name, i) for i in range(1, f.arity + 1))
 
+    # the candidates every rule binds to a variable: with
+    # _arg_vars_redundant, all that the variable case asks
+    variable_bound = {
+        (fname, i)
+        for fname, i in candidates
+        if var_ok
+        and all(isinstance(r.lhs.args[i - 1], Var) for r in trs.rules_for(fname))
+    }
     constants = designated_constants(trs)
     verdicts: dict[tuple[str, int], PatternVerdict | NoGroundConstant] = {}
     known: KnownMap = {}
@@ -429,30 +417,32 @@ def analyze(
         for fname, i in candidates:
             if i in known.get(fname, frozenset()):
                 continue
-            if var_ok and variable_case(trs, fname, i, known, report=report):
+            variable = (fname, i) in variable_bound
+            if not (variable or pat_ok) or not _arg_vars_redundant(trs, fname, i, known):
+                continue
+            if variable:
                 additions.append((fname, i, Justification("variable-case", rounds)))
                 continue
-            # pat_ok means the report passes every gate pattern_case requires
-            if pat_ok and _arg_vars_redundant(trs, fname, i, known):
-                cached = verdicts.get((fname, i))
-                if cached is None:
-                    try:
-                        cached = _triple_verdict(trs, fname, i, constants, cfg.fuel)
-                    except NoGroundConstant as exc:
-                        cached = exc
-                    verdicts[(fname, i)] = cached
-                if isinstance(cached, NoGroundConstant):
-                    note = f"pattern case skipped for ({fname},{i}): {cached}"
-                    if note not in notes:
-                        notes.append(note)
-                    continue
-                verdict, evidence = cached
-                if verdict is True:
-                    additions.append(
-                        (fname, i, Justification("pattern-case", rounds, evidence))
-                    )
-                elif verdict is None:
-                    indeterminate_this_round.add((fname, i))
+            # here pat_ok holds: the report passes every gate pattern_case requires
+            cached = verdicts.get((fname, i))
+            if cached is None:
+                try:
+                    cached = _triple_verdict(trs, fname, i, constants, cfg.fuel)
+                except NoGroundConstant as exc:
+                    cached = exc
+                verdicts[(fname, i)] = cached
+            if isinstance(cached, NoGroundConstant):
+                note = f"pattern case skipped for ({fname},{i}): {cached}"
+                if note not in notes:
+                    notes.append(note)
+                continue
+            verdict, evidence = cached
+            if verdict is True:
+                additions.append(
+                    (fname, i, Justification("pattern-case", rounds, evidence))
+                )
+            elif verdict is None:
+                indeterminate_this_round.add((fname, i))
         indeterminate = indeterminate_this_round
         if not additions:
             break

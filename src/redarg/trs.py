@@ -154,6 +154,26 @@ class PropertyReport:
     seval_reason: Optional[str]
     terminating_attested: bool
 
+    @cached_property
+    def failed_gates(self) -> dict[str, str]:
+        """The gates of the detection methods that the system fails, in
+        gate order (left-linear, constructor-system, confluent,
+        seval-defined), each with its witness in words."""
+        failed: dict[str, str] = {}
+        if not self.left_linear:
+            rule, name = self.ll_witness
+            failed["left-linear"] = f"variable {name} repeats in {rule}"
+        if not self.constructor_system:
+            failed["constructor-system"] = f"rule: {self.cs_witness}"
+        if not self.confluent.startswith("yes"):
+            witness = self.confluence_witness
+            failed["confluent"] = self.confluent + (
+                f" (critical pair {witness})" if witness else ""
+            )
+        if not self.seval_defined:
+            failed["seval-defined"] = self.seval_reason or ""
+        return failed
+
 
 # ---------------------------------------------------------------------------
 # Parsing
