@@ -120,30 +120,16 @@ def redundant_positions(t: Term, known: KnownMap) -> set[Position]:
     An under-approximation of the redundant positions of t; growing
     `known` only grows it.
     """
-    roots: list[tuple[Position, int]] = []
-    for q in iter_positions(t):
-        s = subterm(t, q)
-        if isinstance(s, App):
-            for i in known.get(s.symbol.name, frozenset()):
-                roots.append((q, i))
-    if not roots:
-        return set()
     out: set[Position] = set()
-    for p in iter_positions(t):
-        for q, i in roots:
-            base = q + (i,)
-            if is_prefix(base, p):
-                out.add(p)
-                break
+    stack: list[tuple[Term, Position, bool]] = [(t, (), False)]
+    while stack:
+        u, p, below = stack.pop()
+        if below:
+            out.add(p)
+        if isinstance(u, App):
+            hidden = known.get(u.symbol.name, frozenset())
+            stack += ((a, p + (k,), below or k in hidden) for k, a in enumerate(u.args, 1))
     return out
-
-
-def _var_positions(r: Term, name: str) -> list[Position]:
-    return [
-        p
-        for p in iter_positions(r)
-        if isinstance(subterm(r, p), Var) and subterm(r, p).name == name
-    ]
 
 
 def is_fi_redundant_var(
@@ -154,23 +140,12 @@ def is_fi_redundant_var(
     f-rooted subterm.  Vacuously true when x does not occur."""
     name = x if isinstance(x, str) else x.name
     fname = f if isinstance(f, str) else f.name
-    occurrences = _var_positions(r, name)
-    if not occurrences:
-        return True
-    rpos = redundant_positions(r, known)
-    for p in occurrences:
-        if p in rpos:
-            continue
-        if any(
-            k < len(p)
-            and p[k] == i
-            and isinstance(subterm(r, p[:k]), App)
-            and subterm(r, p[:k]).symbol.name == fname
-            for k in range(len(p))
-        ):
-            continue
-        return False
-    return True
+    occurrences = {
+        p for p in iter_positions(r) if isinstance(u := subterm(r, p), Var) and u.name == name
+    }
+    return not occurrences or occurrences <= redundant_positions(
+        r, {**known, fname: known.get(fname, frozenset()) | {i}}
+    )
 
 
 VARIABLE_GATES = ("left-linear", "constructor-system")

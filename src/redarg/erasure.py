@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import WellFormednessError
 from .rewrite import explore
-from .terms import App, FuncSymbol, Substitution, Term, Var, vars_of
+from .terms import App, FuncSymbol, Substitution, Term, fold, vars_of
 from .trs import Rule, Trs, canonical_rule, designated_constant
 
 # caps for the unique-normal-form search during compression; small on
@@ -77,13 +77,10 @@ def erase_symbol(f: FuncSymbol, rho: SyntacticErasure, suffix: str = "") -> Func
 def erase_term(t: Term, rho: SyntacticErasure, suffix: str = "") -> Term:
     """The homomorphic erasure: variables unchanged, erased argument
     positions dropped, surviving arguments kept in order."""
-    if isinstance(t, Var):
-        return t
-    survivors = rho.surviving(t.symbol)
-    return App(
-        erase_symbol(t.symbol, rho, suffix),
-        tuple(erase_term(t.args[i - 1], rho, suffix) for i in survivors),
-    )
+    return fold(t, lambda v: v, lambda u, args: App(
+        erase_symbol(u.symbol, rho, suffix),
+        tuple(args[i - 1] for i in rho.surviving(u.symbol)),
+    ))
 
 
 @dataclass(frozen=True)

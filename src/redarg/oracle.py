@@ -22,7 +22,7 @@ from .rewrite import (
     bounded_semantics,
     evaluate,
 )
-from .terms import App, FuncSymbol, Sort, Substitution, Term, Var, replace
+from .terms import App, FuncSymbol, Sort, Substitution, Term, Var, fold, replace
 from .trs import Trs
 
 HOLE_NAME = "[]"
@@ -39,9 +39,7 @@ def plug(context: Term, t: Term) -> Term:
 
 def term_depth(t: Term) -> int:
     """Tree depth in node levels; the context hole counts as zero."""
-    if isinstance(t, Var):
-        return 0 if t.name == HOLE_NAME else 1
-    return 1 + max((term_depth(a) for a in t.args), default=0)
+    return fold(t, lambda v: int(v.name != HOLE_NAME), lambda u, ds: 1 + max(ds, default=0))
 
 
 def _ground_terms_by_sort(

@@ -101,32 +101,26 @@ def rewrite_step(
         raise ValueError(f"unknown strategy {strategy!r}")
     innermost = strategy == "leftmost-innermost"
     index = trs.rules_by_root
-
-    def at_root(s: Term) -> Optional[tuple[Term, Position, "Rule"]]:
-        hit = _match_at(s, index.get(s.symbol.name, ()))
-        if hit is None:
-            return None
-        rule, sigma = hit
-        return sigma.apply(rule.rhs), (), rule
-
-    def in_args(s: Term) -> Optional[tuple[Term, Position, "Rule"]]:
-        for i, a in enumerate(s.args, start=1):
-            got = walk(a)
-            if got is not None:
-                nxt, p, rule = got
-                args = list(s.args)
-                args[i - 1] = nxt
-                return App(s.symbol, tuple(args)), (i,) + p, rule
-        return None
-
-    def walk(s: Term) -> Optional[tuple[Term, Position, "Rule"]]:
-        if isinstance(s, Var):
-            return None
-        if innermost:
-            return in_args(s) or at_root(s)
-        return at_root(s) or in_args(s)
-
-    return walk(t)
+    # the path from the root: each node with the number of its
+    # arguments entered so far
+    path: list[list] = [[t, 0]]
+    while path:
+        frame = path[-1]
+        s, k = frame
+        if isinstance(s, App) and k == (len(s.args) if innermost else 0):
+            hit = _match_at(s, index.get(s.symbol.name, ()))
+            if hit is not None:
+                rule, sigma = hit
+                nxt = sigma.apply(rule.rhs)
+                for u, i in reversed(path[:-1]):
+                    nxt = App(u.symbol, u.args[: i - 1] + (nxt,) + u.args[i:])
+                return nxt, tuple(i for _, i in path[:-1]), rule
+        if isinstance(s, App) and k < len(s.args):
+            frame[1] = k + 1
+            path.append([s.args[k], 0])
+        else:
+            path.pop()
+    return None
 
 
 def is_constructor_ground(t: Term) -> bool:
@@ -320,20 +314,38 @@ def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
     found = memo.get(s)
     if found is not None:
         return found
-    res: list[Term] = []
-    for rule in trs.rules_by_root.get(s.symbol.name, ()):
-        sigma = match(rule.lhs, s)
-        if sigma is not None:
-            res.append(sigma.apply(rule.rhs))
-    args = s.args
-    for i, a in enumerate(args):
-        for red in _reducts(a, trs):
-            res.append(App(s.symbol, args[:i] + (red,) + args[i + 1 :]))
-    found = tuple(dict.fromkeys(res))
-    if len(memo) >= REDUCTS_MEMO_CAP:
-        memo.clear()
-    memo[s] = found
-    return found
+    # the reducts of every subterm the memo lacks, arguments first, as in
+    # terms.fold; the ones it has are copied, since storing may clear it
+    done: dict[Term, tuple[Term, ...]] = {}
+    stack: list = [s]
+    while stack:
+        u = stack.pop()
+        if u is None:  # the arguments of the node below it are done
+            u = stack.pop()
+            if u in done:
+                continue
+            args = u.args
+            res = [
+                sigma.apply(rule.rhs)
+                for rule in trs.rules_by_root.get(u.symbol.name, ())
+                if (sigma := match(rule.lhs, u)) is not None
+            ]
+            for i, a in enumerate(args):
+                for red in done.get(a, ()):
+                    res.append(App(u.symbol, args[:i] + (red,) + args[i + 1 :]))
+            done[u] = found = tuple(dict.fromkeys(res))
+            if len(memo) >= REDUCTS_MEMO_CAP:
+                memo.clear()
+            memo[u] = found
+        elif u not in done:
+            stack += (u, None)
+            for a in u.args:
+                if isinstance(a, App) and a not in done:
+                    if (found := memo.get(a)) is None:
+                        stack.append(a)
+                    else:
+                        done[a] = found
+    return done[s]
 
 
 def successors(t: Term, trs: "Trs") -> list[Term]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, TypeVar, Union
 
 from .errors import ArityMismatch, PositionOutOfRange, SortMismatch
 
@@ -165,6 +165,32 @@ def sort_of(t: Term) -> Sort:
     return t.sort
 
 
+T = TypeVar("T")
+
+
+def fold(t: Term, var: Callable[[Var], T], app: Callable[[App, tuple], T]) -> T:
+    """Fold t bottom-up: var on each variable occurrence, and app on each
+    application with its folded arguments, left to right.  Iterative,
+    so that a term of any depth folds."""
+    done: list = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if u is None:  # the arguments of the node below it are folded
+            u = stack.pop()
+            n = len(u.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(app(u, args))
+        elif isinstance(u, Var):
+            done.append(var(u))
+        elif not u.args:
+            done.append(app(u, ()))
+        else:
+            stack += (u, None, *reversed(u.args))
+    return done[0]
+
+
 def format_term(t: Term) -> str:
     """Render a term: nullary applications bare, otherwise f(a, b).
 
@@ -206,11 +232,13 @@ def parallel(p: Position, q: Position) -> bool:
 
 
 def iter_positions(t: Term, prefix: Position = ()) -> Iterator[Position]:
-    """All tree addresses of t in preorder, root first."""
-    yield prefix
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            yield from iter_positions(a, prefix + (i,))
+    """All tree addresses of t in preorder, root first; iterative."""
+    stack = [(t, prefix)]
+    while stack:
+        u, p = stack.pop()
+        yield p
+        if isinstance(u, App):
+            stack.extend((u.args[k - 1], p + (k,)) for k in range(len(u.args), 0, -1))
 
 
 def positions(t: Term) -> set[Position]:
@@ -227,18 +255,17 @@ def subterm(t: Term, p: Position) -> Term:
 
 def replace(t: Term, p: Position, s: Term) -> Term:
     """The term t with the subtree at p replaced by s (t[s]_p)."""
-    if not p:
-        if sort_of(s) != sort_of(t):
-            raise SortMismatch(
-                f"cannot replace sort {sort_of(t)} subterm with sort {sort_of(s)}"
-            )
-        return s
-    if not isinstance(t, App) or not 1 <= p[0] <= len(t.args):
-        raise PositionOutOfRange(f"position {format_position(p)} not in term")
-    i = p[0]
-    new_args = list(t.args)
-    new_args[i - 1] = replace(t.args[i - 1], p[1:], s)
-    return App(t.symbol, tuple(new_args))
+    path: list[App] = []
+    for k, i in enumerate(p):
+        if not isinstance(t, App) or not 1 <= i <= len(t.args):
+            raise PositionOutOfRange(f"position {format_position(p[k:])} not in term")
+        path.append(t)
+        t = t.args[i - 1]
+    if sort_of(s) != sort_of(t):
+        raise SortMismatch(f"cannot replace sort {sort_of(t)} subterm with sort {sort_of(s)}")
+    for u, i in zip(reversed(path), reversed(p)):
+        s = App(u.symbol, u.args[: i - 1] + (s,) + u.args[i:])
+    return s
 
 
 def vars_of(t: Term) -> set[Var]:
@@ -356,22 +383,21 @@ class Substitution:
         return Substitution({n: t for n, t in self._map.items() if n in names})
 
     def apply(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            rep = self._map.get(t.name)
+        bindings = self._map
+        if not bindings:
+            return t
+
+        def var(v: Var) -> Term:
+            rep = bindings.get(v.name)
             if rep is None:
-                return t
-            if sort_of(rep) != t.sort:
+                return v
+            if sort_of(rep) != v.sort:
                 raise SortMismatch(
-                    f"binding for {t.name} has sort {sort_of(rep)}, "
-                    f"expected {t.sort}"
+                    f"binding for {v.name} has sort {sort_of(rep)}, expected {v.sort}"
                 )
             return rep
-        if not self._map:
-            return t
-        new_args = tuple(self.apply(a) for a in t.args)
-        if new_args == t.args:
-            return t
-        return App(t.symbol, new_args)
+
+        return fold(t, var, lambda u, args: u if args == u.args else App(u.symbol, args))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n} -> {format_term(t)}" for n, t in self.items())
@@ -435,10 +461,11 @@ def _occurs(name: str, t: Term, bindings: dict[str, Term]) -> bool:
 
 
 def _resolve(t: Term, bindings: dict[str, Term]) -> Term:
-    t = _walk(t, bindings)
-    if isinstance(t, Var):
-        return t
-    return App(t.symbol, tuple(_resolve(a, bindings) for a in t.args))
+    def var(v: Var) -> Term:
+        u = _walk(v, bindings)
+        return u if isinstance(u, Var) else _resolve(u, bindings)
+
+    return fold(t, var, lambda u, args: App(u.symbol, args))
 
 
 def _unify_pairs(pairs: list[tuple[Term, Term]]) -> Optional[Substitution]:

@@ -27,6 +27,7 @@ from .terms import (
     Sort,
     Term,
     Var,
+    fold,
     format_term,
     iter_positions,
     positions,
@@ -788,12 +789,11 @@ def canonical_rule(rule: Rule) -> tuple[str, str]:
     numbering: dict[str, str] = {}
 
     def canon(t: Term) -> str:
-        if isinstance(t, Var):
-            name = numbering.setdefault(t.name, f"v{len(numbering) + 1}")
-            return name
-        if not t.args:
-            return t.symbol.name
-        return f"{t.symbol.name}({','.join(canon(a) for a in t.args)})"
+        return fold(
+            t,
+            lambda v: numbering.setdefault(v.name, f"v{len(numbering) + 1}"),
+            lambda u, args: f"{u.symbol.name}({','.join(args)})" if args else u.symbol.name,
+        )
 
     return canon(rule.lhs), canon(rule.rhs)
 
