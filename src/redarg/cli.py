@@ -265,6 +265,8 @@ def cmd_verify(args) -> Report:
             for w in doc["witnesses"]
         ),
     ]
+    if report.agree + report.disagree == 0:
+        doc["warnings"] = ["no trial compared two values, so agreement is vacuous"]
     return (0 if report.ok else 1), doc, lines
 
 
@@ -297,14 +299,15 @@ def cmd_oracle(args) -> Report:
         verdict="no-counterexample",
         cases_checked=verdict.cases_checked,
         skipped_truncated=verdict.skipped_truncated,
+        capped=verdict.capped,
         counterexample=None,
     )
-    lines = [
-        f"no counterexample up to context depth {doc['ctx_depth']}, "
-        f"term depth {doc['term_depth']} "
-        f"({doc['cases_checked']} cases, {doc['skipped_truncated']} skipped)"
-    ]
-    return 0, doc, lines
+    depths = f"context depth {doc['ctx_depth']}, term depth {doc['term_depth']}"
+    counts = f"{doc['cases_checked']} cases, {doc['skipped_truncated']} skipped"
+    if verdict.capped:
+        return 0, doc, [f"no counterexample in the first {counts}; stopped at "
+                        f"--max-cases, so {depths} were not fully checked"]
+    return 0, doc, [f"no counterexample up to {depths} ({counts})"]
 
 
 # ---------------------------------------------------------------------------

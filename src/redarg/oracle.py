@@ -125,6 +125,8 @@ class NoCounterexampleUpTo:
     term_depth: int
     cases_checked: int
     skipped_truncated: int
+    # max_cases stopped the search before it covered the depths
+    capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def brute_force_redundant(
                     continue
                 if cases >= bounds.max_cases:
                     return NoCounterexampleUpTo(
-                        bounds.ctx_depth, bounds.term_depth, cases, skipped
+                        bounds.ctx_depth, bounds.term_depth, cases, skipped, capped=True
                     )
                 cases += 1
                 before_term = plug(context, t)

@@ -180,7 +180,8 @@ class PropertyReport:
 # Parsing
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*|\(|\)|,)")
+# a token, or in group 2 the character that starts none
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_']*|[(),])|(\S))")
 
 
 @dataclass
@@ -194,16 +195,10 @@ class _TermNode:
 
 def _tokenize_term(text: str, line: int) -> list[str]:
     tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} in term", line)
-        tokens.append(m.group(1))
-        pos = m.end()
+    for token, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} in term", line)
+        tokens.append(token)
     return tokens
 
 

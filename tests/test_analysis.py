@@ -79,6 +79,8 @@ def test_variable_case_gates(noncs):
     with pytest.raises(PreconditionUnmet) as exc:
         variable_case(noncs, "f", 1)
     assert exc.value.gate == "constructor-system"
+    # in the words of `check` and of analyze's notes
+    assert exc.value.detail == "rule: g(f(b, x)) -> x"
 
 
 # --- triples ----------------------------------------------------------------
@@ -182,6 +184,7 @@ def test_pattern_case_gates(nonconfluent, partial):
     with pytest.raises(PreconditionUnmet) as exc:
         pattern_case(nonconfluent, "f", 1)
     assert exc.value.gate == "confluent"
+    assert exc.value.detail == "no (critical pair <Z, S(Z)>)"
     with pytest.raises(PreconditionUnmet) as exc:
         pattern_case(partial, "f", 1)
     assert exc.value.gate == "seval-defined"
@@ -319,3 +322,41 @@ def test_analyze_checks_the_triples_of_a_candidate_once(bogus, monkeypatch):
     monkeypatch.setattr(analysis, "fi_triples", counted)
     assert analyze(bogus).rounds == 2
     assert calls == [("loop", 3)]
+
+
+CORPUS_FILES = sorted(str(p.relative_to(CORPUS)) for p in CORPUS.rglob("*.trs"))
+
+
+@pytest.mark.parametrize("relpath", CORPUS_FILES)
+def test_analyze_agrees_with_variable_case(relpath):
+    # analyze decides the variable case inline; the library function
+    # must agree with it in the round of each variable-case position
+    # and at the fixpoint for every position left over
+    trs = load_corpus(relpath)
+    result = analyze(trs)
+    if result.notes and "variable and pattern case disabled" in result.notes[0]:
+        return
+    red = result.redundancy
+    for (fname, i), just in red.justifications.items():
+        if just.method == "variable-case":
+            before = {}
+            for (g, j), other in red.justifications.items():
+                if other.round < just.round:
+                    before[g] = before.get(g, frozenset()) | {j}
+            assert variable_case(trs, fname, i, before)
+    for f in trs.defined:
+        for i in range(1, f.arity + 1):
+            if (f.name, i) not in red:
+                assert not variable_case(trs, f.name, i, red.entries)
+
+
+def test_analyze_does_not_call_the_library_cases(bogus, plus_minus, monkeypatch):
+    import redarg.analysis as analysis
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(analysis, "variable_case", fail)
+    monkeypatch.setattr(analysis, "pattern_case", fail)
+    assert analyze(bogus).redundancy.entries == {"loop": frozenset({2})}
+    assert analyze(plus_minus).redundancy.entries == {"minus_pe": frozenset({1})}

@@ -236,6 +236,35 @@ def test_eval_deep_goal_trace(cli):
     assert lines[0] == f"e: minus_pe({tower(400)}, Z) -> minus_pe({tower(399)}, Z) [r2]"
 
 
+def test_eval_outermost_deep_goal(cli):
+    rc, out, err = cli("eval", str(corpus_path("plus_minus.trs")), "--strategy", "lo",
+                       "-e", "S(" * 1500 + "minus_pe(S(Z), Z)" + ")" * 1500)
+    assert rc == 0 and err == ""
+    assert out == f"value {tower(1500)}\n"
+
+
+def deep_rule_system(tmp_path) -> str:
+    src = tmp_path / "deep_rule.trs"
+    src.write_text(
+        Path(corpus_path("plus_minus.trs")).read_text()
+        + "fun d : Nat -> Nat\n"
+        + "rule d(x) -> " + "S(" * 1500 + "x" + ")" * 1500 + "\n"
+    )
+    return str(src)
+
+
+def test_deep_rule_analyze_erase_verify(cli, tmp_path):
+    path = deep_rule_system(tmp_path)
+    rc, out, err = cli("analyze", path)
+    assert (rc, out, err) == (0, "minus_pe: {1} (pattern-case, round 1)\n", "")
+    rc, out, err = cli("erase", path, "--reduced")
+    assert rc == 0 and err == ""
+    assert "rule d(x) -> " + "S(" * 1500 + "x" + ")" * 1500 + "\n" in out
+    rc, out, err = cli("verify", path, "--trials", "20")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1:3] == ["agree: 20", "disagree: 0"]
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_clean(cli):
@@ -262,6 +291,26 @@ def test_verify_json(cli):
     assert total == 40
 
 
+VACUOUS = "warning: no trial compared two values, so agreement is vacuous\n"
+
+
+def test_verify_warns_when_no_trial_runs(cli):
+    rc, out, err = cli("verify", str(corpus_path("bogus.trs")), "--trials", "0")
+    assert rc == 0 and err == VACUOUS
+    assert out.splitlines()[:2] == ["trials: 0 (depth 6, seed 42)", "agree: 0"]
+
+
+def test_verify_warns_when_no_trial_compares_values(cli, tmp_path):
+    # the one ground term is a constant without rules: never a value
+    src = tmp_path / "novalue.trs"
+    src.write_text("sort N\nfun c : N\n")
+    rc, out, err = cli("verify", str(src), "--trials", "5", "--json")
+    assert rc == 0 and err == VACUOUS
+    doc = json.loads(out)
+    assert (doc["nonvalue"], doc["warnings"]) == (5, [VACUOUS[9:-1]])
+    jsonschema.validate(doc, SCHEMA)
+
+
 # --- oracle -----------------------------------------------------------------
 
 def test_oracle_counterexample(cli):
@@ -286,6 +335,24 @@ def test_oracle_no_counterexample(cli):
     assert rc == 0
     assert out == ("no counterexample up to context depth 2, term depth 2 "
                    "(11 cases, 0 skipped)\n")
+
+
+def test_oracle_says_when_max_cases_stopped_it(cli):
+    # (applast, 1) has exactly 11 cases at depths 2/2
+    argv = ["oracle", str(corpus_path("applast.trs")), "-f", "applast", "-i", "1",
+            "--ctx-depth", "2", "--term-depth", "2"]
+    rc, out, _ = cli(*argv, "--max-cases", "10")
+    assert rc == 0
+    assert out == ("no counterexample in the first 10 cases, 0 skipped; stopped at "
+                   "--max-cases, so context depth 2, term depth 2 were not fully checked\n")
+    rc, out, _ = cli(*argv, "--max-cases", "11")
+    assert out == ("no counterexample up to context depth 2, term depth 2 "
+                   "(11 cases, 0 skipped)\n")
+    for cap, capped in (("10", True), ("11", False)):
+        rc, out, _ = cli(*argv, "--max-cases", cap, "--json")
+        doc = json.loads(out)
+        assert (doc["cases_checked"], doc["capped"]) == (int(cap), capped)
+        jsonschema.validate(doc, SCHEMA)
 
 
 def test_oracle_rejects_unknown_symbol(cli):

@@ -132,6 +132,15 @@ def test_oracle_respects_case_cap(applast):
     verdict = brute_force_redundant(applast, "applast", 1, bounds)
     assert isinstance(verdict, NoCounterexampleUpTo)
     assert verdict.cases_checked == 5
+    assert verdict.capped
+
+
+def test_oracle_is_capped_only_when_cases_remain(applast):
+    # (applast, 1) has exactly 11 cases at depths 2/2
+    exact = brute_force_redundant(applast, "applast", 1, EnumBounds(2, 2, max_cases=11))
+    assert (exact.cases_checked, exact.capped) == (11, False)
+    short = brute_force_redundant(applast, "applast", 1, EnumBounds(2, 2, max_cases=10))
+    assert (short.cases_checked, short.capped) == (10, True)
 
 
 # --- random ground terms ----------------------------------------------------

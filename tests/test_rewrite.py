@@ -372,3 +372,17 @@ def test_head_normal_forms_via_backward_closure(nonconfluent):
     sem = bounded_semantics(parse_term("f(S(Z))", nonconfluent), nonconfluent)
     assert not sem.truncated
     assert {str(u) for u in sem.shnf} == {"Z", "S(Z)"}
+
+
+# --- deep terms -------------------------------------------------------------
+
+def test_steps_and_reducts_of_deep_terms(plus_minus):
+    depth = 1500
+    goal = parse_term("S(" * depth + "minus_pe(S(Z), Z)" + ")" * depth, plus_minus)
+    expected = parse_term("S(" * depth + "minus_pe(Z, Z)" + ")" * depth, plus_minus)
+    for strategy in ("leftmost-innermost", "leftmost-outermost"):
+        nxt, p, rule = rewrite_step(goal, plus_minus, strategy)
+        assert (nxt, p, rule.label) == (expected, (1,) * depth, "r2")
+    assert successors(goal, plus_minus) == [expected]
+    outcome = normalize(goal, plus_minus, strategy="leftmost-outermost")
+    assert outcome.kind == "value" and outcome.steps == 2

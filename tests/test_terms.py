@@ -27,7 +27,7 @@ from redarg import (
     unify_up_to_arg,
     vars_of,
 )
-from redarg.terms import is_prefix, iter_positions, parallel
+from redarg.terms import fold, is_prefix, iter_positions, parallel
 
 NAT = "Nat"
 Z = FuncSymbol("Z", (), NAT, "constructor")
@@ -116,6 +116,44 @@ def test_deep_terms_compare_without_recursion():
     assert a == b and hash(a) == hash(b)
     assert a is b
     assert a != tower(2999)
+
+
+def test_deep_terms_walk_without_recursion():
+    deep = x
+    for _ in range(3000):
+        deep = s(deep)
+    bottom = (1,) * 3000
+    assert sum(1 for _ in iter_positions(deep)) == 3001
+    assert list(iter_positions(deep))[-1] == bottom
+    filled = Substitution({"x": z}).apply(deep)
+    assert filled is replace(deep, bottom, z)
+    assert subterm(filled, bottom) is z
+    assert fold(filled, lambda v: 0, lambda u, ds: 1 + max(ds, default=0)) == 3001
+    sigma = unify(deep, filled)
+    assert sigma is not None and sigma.get("x") is z
+
+
+def test_iter_positions_preorder():
+    t = f(s(x), f(z, y))
+    assert list(iter_positions(t)) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
+    assert list(iter_positions(s(z), (2,))) == [(2,), (2, 1)]
+
+
+def test_fold_is_bottom_up_left_to_right():
+    t = f(s(x), f(z, y))
+    seen = []
+    out = fold(
+        t,
+        lambda v: seen.append(v.name) or v.name,
+        lambda u, args: seen.append(u.symbol.name) or u.symbol.name + "".join(args),
+    )
+    assert out == "fSxfZy"
+    assert seen == ["x", "S", "Z", "y", "f", "f"]
+
+
+def test_replace_error_names_the_unreachable_rest():
+    with pytest.raises(PositionOutOfRange, match="position 2.1 not in term"):
+        replace(f(s(z), z), (1, 2, 1), z)
 
 
 def test_format_term():

@@ -124,6 +124,15 @@ def vars_sorts(t):
     return {v.name: v.sort for v in vars_of(t)}
 
 
+def test_parse_term_whitespace_and_bad_characters():
+    trs = parse_trs(NAT_SYSTEM)
+    assert format_term(parse_term(" \t plus( S(Z) ,Z )  \n", trs)) == "plus(S(Z), Z)"
+    for text, bad in [("plus(Z, $)", "'$'"), ("  1", "'1'"), ("S(Z) ;", "';'")]:
+        with pytest.raises(ParseError) as exc:
+            parse_term(text, trs)
+        assert exc.value.message == f"unexpected character {bad} in term"
+
+
 def test_parse_term_needs_inferable_sort():
     trs = parse_trs(NAT_SYSTEM)
     with pytest.raises(WellFormednessError):
@@ -421,3 +430,26 @@ def test_rules_alpha_equal_is_order_insensitive():
     assert rules_alpha_equal(a.rules, b.rules)
     assert rules_alpha_equal(a.rules, tuple(reversed(b.rules)))
     assert not rules_alpha_equal(a.rules, a.rules[:1])
+
+
+def test_failed_gates_name_their_witnesses_in_gate_order(applast, noncs, nonconfluent,
+                                                        partial):
+    assert build_property_report(applast).failed_gates == {}
+    assert build_property_report(nonconfluent).failed_gates == {
+        "confluent": "no (critical pair <Z, S(Z)>)"
+    }
+    assert build_property_report(partial).failed_gates == {
+        "seval-defined": "not completely defined (witness g(Z))"
+    }
+    assert list(build_property_report(noncs).failed_gates.items()) == [
+        ("constructor-system", "rule: g(f(b, x)) -> x"),
+        ("seval-defined", "termination not attested"),
+    ]
+    nonlinear = parse_trs(
+        "sort Nat\ncons Z : Nat\ncons S : Nat -> Nat\nfun eq : Nat Nat -> Nat\n"
+        "pragma terminating\nrule eq(x, x) -> S(Z)\nrule eq(x, y) -> Z\n"
+    )
+    assert list(build_property_report(nonlinear).failed_gates.items()) == [
+        ("left-linear", "variable x repeats in eq(x, x) -> S(Z)"),
+        ("confluent", "no (critical pair <S(Z), Z>)"),
+    ]
