@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import WellFormednessError
 from .rewrite import explore
-from .terms import App, FuncSymbol, Substitution, Term, fold, vars_of
+from .terms import App, FuncSymbol, Substitution, Term, Var, vars_of
 from .trs import Rule, Trs, canonical_rule, designated_constant
 
 # caps for the unique-normal-form search during compression; small on
@@ -77,10 +77,24 @@ def erase_symbol(f: FuncSymbol, rho: SyntacticErasure, suffix: str = "") -> Func
 def erase_term(t: Term, rho: SyntacticErasure, suffix: str = "") -> Term:
     """The homomorphic erasure: variables unchanged, erased argument
     positions dropped, surviving arguments kept in order."""
-    return fold(t, lambda v: v, lambda u, args: App(
-        erase_symbol(u.symbol, rho, suffix),
-        tuple(args[i - 1] for i in rho.surviving(u.symbol)),
-    ))
+    # bottom-up as in terms.fold, but never entering an erased argument;
+    # a pushed (symbol, n) builds a node from the last n results
+    done: list[Term] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            done.append(u)
+        elif isinstance(u, tuple):
+            symbol, n = u
+            args = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+            done.append(App(symbol, args))
+        else:
+            keep = rho.surviving(u.symbol)
+            stack.append((erase_symbol(u.symbol, rho, suffix), len(keep)))
+            stack.extend(u.args[i - 1] for i in reversed(keep))
+    return done[0]
 
 
 @dataclass(frozen=True)
