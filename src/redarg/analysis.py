@@ -321,9 +321,8 @@ def pattern_case(
 
 def _gating_notes(report: PropertyReport) -> tuple[list[str], bool, bool]:
     """Notes on the methods the failed gates disable, plus whether each
-    method may run.  Every failed variable-case gate is noted; of the
-    other pattern-case gates only the first, and only when the variable
-    case may run."""
+    method may run.  Every failed variable-case gate is noted, else the
+    first failed pattern-case gate."""
     failed = report.failed_gates
     phrase = {"left-linear": "not left-linear ({})",
               "constructor-system": "not a constructor system ({})",
@@ -336,9 +335,8 @@ def _gating_notes(report: PropertyReport) -> tuple[list[str], bool, bool]:
     ]
     if notes:
         return notes, False, False
-    for g in PATTERN_GATES:
-        if g in failed:
-            return [f"pattern case disabled: {phrase[g].format(failed[g])}"], True, False
+    for g in failed:  # in gate order
+        return [f"pattern case disabled: {phrase[g].format(failed[g])}"], True, False
     return [], True, True
 
 

@@ -66,9 +66,12 @@ def _index_sets(entries: dict[str, frozenset[int]]) -> dict[str, list[int]]:
     return {name: sorted(v) for name, v in sorted(entries.items()) if v}
 
 
-def _checked_indices(trs: Trs, name: str, indices: Iterable[int], option: str = ""):
-    """The argument indices of a symbol named on the command line; fails
-    on an unknown symbol first, then on an index it does not have."""
+def _checked_indices(
+    trs: Trs, name: str, indices: Iterable[int], option: str = ""
+) -> frozenset[int]:
+    """The argument indices of a symbol named on the command line.  Fails
+    on an unknown symbol first, then on a parse error that reading the
+    indices raises, then on an index the symbol does not have."""
     sym = trs.symbol_map.get(name)
     if sym is None:
         raise WellFormednessError(f"unknown symbol {name}" + (f" in {option}" if option else ""))
@@ -199,8 +202,7 @@ def cmd_erase(args) -> Report:
     else:
         result = analyze(trs, AnalysisConfig(fuel=args.fuel))
         rho = erasure_from_analysis(result.redundancy, trs)
-    erased = erase_trs(trs, rho, args.suffix)
-    warnings: list[str] = []
+    erased, warnings = erase_trs(trs, rho, args.suffix), []
     if args.reduced:
         erased, warnings = reduced_erasure(erased)
     text = format_trs(erased.trs)

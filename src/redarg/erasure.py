@@ -76,8 +76,8 @@ def erase_symbol(f: FuncSymbol, rho: SyntacticErasure, suffix: str = "") -> Func
 
 def erase_term(t: Term, rho: SyntacticErasure, suffix: str = "") -> Term:
     """The homomorphic erasure: variables unchanged, erased argument
-    positions dropped, surviving arguments kept in order."""
-    # bottom-up as in terms.fold, but never entering an erased argument;
+    positions dropped, surviving arguments kept in order.  Iterative and
+    bottom-up like terms.fold, but it never enters an erased argument."""
     # a pushed (symbol, n) builds a node from the last n results
     done: list[Term] = []
     stack: list = [t]

@@ -32,8 +32,8 @@ if TYPE_CHECKING:
 DEFAULT_FUEL = 10_000
 DEFAULT_MAX_TERMS = 5_000
 DEFAULT_MAX_STEPS = 20_000
-# entries of a system's one-step-reducts memo (Trs.reducts_memo) before
-# it is cleared; the largest oracle probe of the corpus needs about 280k
+# entries of a system's one-step-reducts memo (Trs.reducts_memo) past
+# which it is cleared; the largest oracle probe of the corpus needs about 280k
 REDUCTS_MEMO_CAP = 500_000
 
 STRATEGIES = ("leftmost-innermost", "leftmost-outermost")
@@ -306,7 +306,9 @@ def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
 
     Memoized per subterm in trs.reducts_memo: terms are immutable and
     interned, so an entry stays valid and a lookup never walks a term.
-    The memo is cleared when it reaches REDUCTS_MEMO_CAP entries.
+    Iterative: a subterm is expanded once the memo has its arguments.
+    The memo is cleared, but for s, after an expansion that takes it
+    past REDUCTS_MEMO_CAP entries.
     """
     if isinstance(s, Var):
         return ()
@@ -314,38 +316,33 @@ def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
     found = memo.get(s)
     if found is not None:
         return found
-    # the reducts of every subterm the memo lacks, arguments first, as in
-    # terms.fold; the ones it has are copied, since storing may clear it
-    done: dict[Term, tuple[Term, ...]] = {}
-    stack: list = [s]
+    stack = [s]
     while stack:
-        u = stack.pop()
-        if u is None:  # the arguments of the node below it are done
-            u = stack.pop()
-            if u in done:
-                continue
-            args = u.args
-            res = [
-                sigma.apply(rule.rhs)
-                for rule in trs.rules_by_root.get(u.symbol.name, ())
-                if (sigma := match(rule.lhs, u)) is not None
-            ]
-            for i, a in enumerate(args):
-                for red in done.get(a, ()):
+        u = stack[-1]
+        args = u.args
+        ready = True
+        for a in args:
+            if a.__class__ is App and a not in memo:
+                stack.append(a)
+                ready = False
+        if not ready:
+            continue
+        stack.pop()
+        res: list[Term] = []
+        for rule in trs.rules_by_root.get(u.symbol.name, ()):
+            sigma = match(rule.lhs, u)
+            if sigma is not None:
+                res.append(sigma.apply(rule.rhs))
+        for i, a in enumerate(args):
+            if a.__class__ is App:
+                for red in memo[a]:
                     res.append(App(u.symbol, args[:i] + (red,) + args[i + 1 :]))
-            done[u] = found = tuple(dict.fromkeys(res))
-            if len(memo) >= REDUCTS_MEMO_CAP:
-                memo.clear()
-            memo[u] = found
-        elif u not in done:
-            stack += (u, None)
-            for a in u.args:
-                if isinstance(a, App) and a not in done:
-                    if (found := memo.get(a)) is None:
-                        stack.append(a)
-                    else:
-                        done[a] = found
-    return done[s]
+        memo[u] = found = tuple(dict.fromkeys(res))
+    # s is expanded last, so found is its reducts
+    if len(memo) > REDUCTS_MEMO_CAP:
+        memo.clear()
+        memo[s] = found
+    return found
 
 
 def successors(t: Term, trs: "Trs") -> list[Term]:

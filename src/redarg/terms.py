@@ -383,21 +383,36 @@ class Substitution:
         return Substitution({n: t for n, t in self._map.items() if n in names})
 
     def apply(self, t: Term) -> Term:
+        """The instance of t.  Iterative and bottom-up like fold, but with
+        no callback per node: this is the hottest walk of the oracle."""
         bindings = self._map
         if not bindings:
             return t
-
-        def var(v: Var) -> Term:
-            rep = bindings.get(v.name)
-            if rep is None:
-                return v
-            if sort_of(rep) != v.sort:
-                raise SortMismatch(
-                    f"binding for {v.name} has sort {sort_of(rep)}, expected {v.sort}"
-                )
-            return rep
-
-        return fold(t, var, lambda u, args: u if args == u.args else App(u.symbol, args))
+        done: list[Term] = []
+        stack: list = [t]
+        while stack:
+            u = stack.pop()
+            if u is None:  # the arguments of the node below it are done
+                u = stack.pop()
+                n = len(u.args)
+                args = tuple(done[-n:])
+                del done[-n:]
+                done.append(u if args == u.args else App(u.symbol, args))
+            elif u.__class__ is Var:
+                rep = bindings.get(u.name)
+                if rep is None:
+                    done.append(u)
+                elif rep.sort != u.sort:
+                    raise SortMismatch(
+                        f"binding for {u.name} has sort {rep.sort}, expected {u.sort}"
+                    )
+                else:
+                    done.append(rep)
+            elif u.args:
+                stack += (u, None, *reversed(u.args))
+            else:
+                done.append(u)
+        return done[0]
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n} -> {format_term(t)}" for n, t in self.items())

@@ -9,7 +9,7 @@ complete definedness, confluence, and Seval-definedness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -30,10 +30,8 @@ from .terms import (
     fold,
     format_term,
     iter_positions,
-    positions,
     repeated_variable,
     replace,
-    sort_of,
     subterm,
     unify,
     var_names,
@@ -469,10 +467,9 @@ def check_left_linear(trs: Trs) -> tuple[bool, Optional[tuple[Rule, str]]]:
 
 
 def _is_constructor_term(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    return t.symbol.kind == "constructor" and all(
-        _is_constructor_term(a) for a in t.args
+    return all(
+        isinstance(u := subterm(t, p), Var) or u.symbol.kind == "constructor"
+        for p in iter_positions(t)
     )
 
 
