@@ -58,12 +58,10 @@ from .rewrite import (
     SemanticsResult,
     bounded_semantics,
     evaluate,
-    joinable,
     normalize,
     rewrite_step,
 )
 from .analysis import (
-    AnalysisConfig,
     AnalysisResult,
     FITriple,
     RedundancySet,
@@ -77,7 +75,6 @@ from .analysis import (
     variable_case,
 )
 from .erasure import (
-    ErasedTrs,
     SyntacticErasure,
     erase_term,
     erase_trs,
@@ -97,86 +94,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "App",
-    "AnalysisConfig",
-    "AnalysisResult",
-    "ArityMismatch",
-    "Counterexample",
-    "CriticalPair",
-    "EmptySort",
-    "EnumBounds",
-    "ErasedTrs",
-    "EvalOutcome",
-    "FITriple",
-    "FuncSymbol",
-    "NoCounterexampleUpTo",
-    "NoGroundConstant",
-    "NotAConstructorSystem",
-    "ParseError",
-    "Position",
-    "PositionOutOfRange",
-    "PreconditionUnmet",
-    "PropertyReport",
-    "RedargError",
-    "RedundancySet",
-    "Rule",
-    "SemanticsResult",
-    "SortMismatch",
-    "Substitution",
-    "SyntacticErasure",
-    "Term",
-    "Trs",
-    "Var",
-    "VerifyReport",
-    "WellFormednessError",
-    "analyze",
-    "bounded_semantics",
-    "brute_force_redundant",
-    "build_property_report",
-    "check_completely_defined",
-    "check_confluence",
-    "check_constructor_system",
-    "check_left_linear",
-    "check_seval_defined",
-    "critical_pairs",
-    "designated_constant",
-    "designated_constants",
-    "differential_verify",
-    "enumerate_contexts",
-    "enumerate_ground_terms",
-    "erase_term",
-    "erase_trs",
-    "erasure_from_analysis",
-    "evaluate",
-    "fi_triples",
-    "format_position",
-    "format_term",
-    "format_trs",
-    "identity_erasure",
-    "is_fi_redundant_var",
-    "is_ground",
-    "is_linear",
-    "joinable",
-    "match",
-    "normalize",
-    "parse_term",
-    "parse_trs",
-    "pattern_case",
-    "pos_fi",
-    "positions",
-    "redundant_positions",
-    "reduced_erasure",
-    "replace",
-    "rewrite_step",
-    "rules_alpha_equal",
-    "sigma_c",
-    "sort_of",
-    "subterm",
-    "tau_transform",
-    "unify",
-    "unify_up_to_arg",
-    "variable_case",
-    "vars_of",
-]

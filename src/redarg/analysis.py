@@ -96,15 +96,6 @@ class RedundancySet:
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
-    fuel: int = DEFAULT_FUEL
-    # None runs to the fixpoint: every round but the last adds a
-    # position, so there are at most len(candidates) + 1 rounds
-    max_rounds: Optional[int] = None
-    methods: tuple[str, ...] = ("variable", "pattern")
-
-
-@dataclass(frozen=True)
 class AnalysisResult:
     redundancy: RedundancySet
     report: PropertyReport
@@ -176,13 +167,10 @@ def variable_case(
     f: FuncSymbol | str,
     i: int,
     known: Optional[KnownMap] = None,
-    report: Optional[PropertyReport] = None,
 ) -> bool:
     """True iff every rule of f binds argument i to a variable that is
     (f,i)-redundant in the rule's rhs.  Performs no rewriting."""
-    if report is None:
-        report = build_property_report(trs)
-    _require(report, VARIABLE_GATES)
+    _require(build_property_report(trs), VARIABLE_GATES)
     fname = f if isinstance(f, str) else f.name
     return all(
         isinstance(rule.lhs.args[i - 1], Var) for rule in trs.rules_for(fname)
@@ -305,14 +293,11 @@ def pattern_case(
     i: int,
     known: Optional[KnownMap] = None,
     fuel: int = DEFAULT_FUEL,
-    report: Optional[PropertyReport] = None,
 ) -> PatternVerdict:
     """Pattern-case verdict for (f,i): True, False, or None when fuel
     ran out while joining a triple.  Also returns the checked triples.
     """
-    if report is None:
-        report = build_property_report(trs, fuel=fuel)
-    _require(report, PATTERN_GATES)
+    _require(build_property_report(trs, fuel=fuel), PATTERN_GATES)
     fname = f if isinstance(f, str) else f.name
     if not _arg_vars_redundant(trs, fname, i, known or {}):
         return False, ()
@@ -342,9 +327,8 @@ def _gating_notes(report: PropertyReport) -> tuple[list[str], bool, bool]:
 
 def analyze(
     trs: Trs,
-    cfg: Optional[AnalysisConfig] = None,
+    fuel: int = DEFAULT_FUEL,
     candidate_order: Optional[Sequence[tuple[str, int]]] = None,
-    report: Optional[PropertyReport] = None,
 ) -> AnalysisResult:
     """Fixpoint of both detection methods over all (symbol, index)
     candidates.
@@ -353,14 +337,12 @@ def analyze(
     skipped; they never raise here.  Within a round every candidate is
     judged against the round-start result, so candidate order cannot
     change the outcome.  The triple verdict of a candidate does not
-    depend on that result, so it is computed at most once.
+    depend on that result, so it is computed at most once.  Every round
+    but the last adds a position, so there are at most
+    len(candidates) + 1 rounds.
     """
-    cfg = cfg or AnalysisConfig()
-    if report is None:
-        report = build_property_report(trs, fuel=cfg.fuel)
+    report = build_property_report(trs, fuel=fuel)
     notes, var_ok, pat_ok = _gating_notes(report)
-    var_ok = var_ok and "variable" in cfg.methods
-    pat_ok = pat_ok and "pattern" in cfg.methods
 
     candidates: list[tuple[str, int]] = []
     if candidate_order is not None:
@@ -383,7 +365,7 @@ def analyze(
     justifications: dict[tuple[str, int], Justification] = {}
     indeterminate: set[tuple[str, int]] = set()
     rounds = 0
-    while cfg.max_rounds is None or rounds < cfg.max_rounds:
+    while True:
         rounds += 1
         additions: list[tuple[str, int, Justification]] = []
         indeterminate_this_round: set[tuple[str, int]] = set()
@@ -400,7 +382,7 @@ def analyze(
             cached = verdicts.get((fname, i))
             if cached is None:
                 try:
-                    cached = _triple_verdict(trs, fname, i, constants, cfg.fuel)
+                    cached = _triple_verdict(trs, fname, i, constants, fuel)
                 except NoGroundConstant as exc:
                     cached = exc
                 verdicts[(fname, i)] = cached
@@ -422,8 +404,6 @@ def analyze(
         for fname, i, just in additions:
             known[fname] = known.get(fname, frozenset()) | {i}
             justifications[(fname, i)] = just
-    else:
-        notes.append(f"stopped after {rounds} rounds, before the fixpoint")
 
     assert all(
         trs.symbol_map[name].kind == "defined" for name in known

@@ -8,13 +8,14 @@ well-formedness error; 3 fatal fuel exhaustion; 4 precondition unmet.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .analysis import AnalysisConfig, analyze
+from .analysis import analyze
 from .erasure import SyntacticErasure, erasure_from_analysis, erase_trs, reduced_erasure
 from .errors import RedargError, WellFormednessError
 from .oracle import Counterexample, EnumBounds, brute_force_redundant, differential_verify
@@ -132,7 +133,7 @@ def cmd_check(args) -> Report:
 
 def cmd_analyze(args) -> Report:
     trs = _load(args.file)
-    result = analyze(trs, AnalysisConfig(fuel=args.fuel))
+    result = analyze(trs, args.fuel)
     red = result.redundancy
     lines: list[str] = []
     for f in trs.defined:
@@ -200,12 +201,12 @@ def cmd_erase(args) -> Report:
     if args.rho:
         rho = _parse_rho(args.rho, trs)
     else:
-        result = analyze(trs, AnalysisConfig(fuel=args.fuel))
+        result = analyze(trs, args.fuel)
         rho = erasure_from_analysis(result.redundancy, trs)
     erased, warnings = erase_trs(trs, rho, args.suffix), []
     if args.reduced:
         erased, warnings = reduced_erasure(erased)
-    text = format_trs(erased.trs)
+    text = format_trs(erased)
     doc = {"reduced": bool(args.reduced), "suffix": args.suffix,
            "redundant": _index_sets(rho.rho), "trs": text, "warnings": warnings}
     return 0, doc, text.splitlines()
@@ -245,7 +246,7 @@ COUNTS = ("agree", "disagree", "indeterminate", "nonvalue")
 
 def cmd_verify(args) -> Report:
     trs = _load(args.file)
-    result = analyze(trs, AnalysisConfig(fuel=args.fuel))
+    result = analyze(trs, args.fuel)
     rho = erasure_from_analysis(result.redundancy, trs)
     report = differential_verify(trs, rho, trials=args.trials, depth=args.depth,
                                  seed=args.seed, fuel=args.fuel, suffix=args.suffix)
@@ -328,15 +329,15 @@ def cmd_bench(args) -> Report:
     for entry in expectations["benchmarks"]:
         file = entry["file"]
         trs = _load(str(root / file))
-        result = analyze(trs, AnalysisConfig(fuel=args.fuel))
+        result = analyze(trs, args.fuel)
         expected = {k: sorted(v) for k, v in entry["expected_redundant"].items()}
         redundant_ok = _index_sets(result.redundancy.entries) == expected
 
         rho = erasure_from_analysis(result.redundancy, trs)
         erased, _warnings = reduced_erasure(erase_trs(trs, rho, suffix))
         expected_trs = parse_trs((root / entry["expected_erased"]).read_text())
-        erased_ok = rules_alpha_equal(erased.trs.rules, expected_trs.rules) and (
-            set(erased.trs.symbols) == set(expected_trs.symbols))
+        erased_ok = rules_alpha_equal(erased.rules, expected_trs.rules) and (
+            set(erased.symbols) == set(expected_trs.symbols))
 
         count = result.redundancy.total_indices()
         row = {
@@ -363,6 +364,7 @@ def cmd_bench(args) -> Report:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redarg",
@@ -452,7 +454,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         out = "\n".join(lines)
     if getattr(args, "output", None):
-        Path(args.output).write_text(out + "\n")
+        try:
+            Path(args.output).write_text(out + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     else:
         print(out)
     return code

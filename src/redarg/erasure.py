@@ -10,7 +10,7 @@ unreduced system is returned with a warning rather than looping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import WellFormednessError
 from .rewrite import explore
@@ -97,16 +97,7 @@ def erase_term(t: Term, rho: SyntacticErasure, suffix: str = "") -> Term:
     return done[0]
 
 
-@dataclass(frozen=True)
-class ErasedTrs:
-    trs: Trs
-    rho: SyntacticErasure
-    suffix: str
-    # erased symbol name -> (original name, surviving 1-based indices)
-    origin: dict[str, tuple[str, tuple[int, ...]]]
-
-
-def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> ErasedTrs:
+def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> Trs:
     """Erase the signature and every rule.
 
     A rule l -> r becomes tau(l) -> sigma_l(tau(r)) where sigma_l
@@ -115,15 +106,15 @@ def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> ErasedTrs:
     erasure does not preserve termination.
     """
     new_symbols: list[FuncSymbol] = []
-    origin: dict[str, tuple[str, tuple[int, ...]]] = {}
+    names: set[str] = set()
     for f in trs.symbols:
         g = erase_symbol(f, rho, suffix)
-        if g.name in origin:
+        if g.name in names:
             raise WellFormednessError(
                 f"erased symbol name {g.name} collides with another symbol"
             )
         new_symbols.append(g)
-        origin[g.name] = (f.name, rho.surviving(f))
+        names.add(g.name)
 
     new_rules: list[Rule] = []
     for rule in trs.rules:
@@ -144,13 +135,12 @@ def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> ErasedTrs:
             rhs = sigma.apply(rhs)
         new_rules.append(Rule(lhs, rhs, rule.label))
 
-    erased = Trs(
+    return Trs(
         sorts=trs.sorts,
         symbols=tuple(new_symbols),
         rules=tuple(new_rules),
         attestations=frozenset(),
     )
-    return ErasedTrs(trs=erased, rho=rho, suffix=suffix, origin=origin)
 
 
 def _unique_normal_form(
@@ -174,10 +164,10 @@ def _unique_normal_form(
 
 
 def reduced_erasure(
-    erased: ErasedTrs,
+    erased: Trs,
     max_terms: int = REDUCE_MAX_TERMS,
     max_steps: int = REDUCE_MAX_STEPS,
-) -> tuple[ErasedTrs, list[str]]:
+) -> tuple[Trs, list[str]]:
     """Compress an erasure: drop trivial rules, normalize every
     remaining rhs, drop rules that became trivial, and deduplicate.
 
@@ -185,13 +175,8 @@ def reduced_erasure(
     looping or ambiguous system), compression is abandoned wholesale
     and the input is returned together with a warning.
     """
-    rules = [r for r in erased.trs.rules if r.lhs != r.rhs]
-    working = Trs(
-        sorts=erased.trs.sorts,
-        symbols=erased.trs.symbols,
-        rules=tuple(rules),
-        attestations=erased.trs.attestations,
-    )
+    rules = [r for r in erased.rules if r.lhs != r.rhs]
+    working = replace(erased, rules=tuple(rules))
     new_rules: list[Rule] = []
     for rule in rules:
         nf, reason = _unique_normal_form(rule.rhs, working, max_terms, max_steps)
@@ -212,13 +197,4 @@ def reduced_erasure(
         seen.add(key)
         deduped.append(rule)
 
-    out = Trs(
-        sorts=erased.trs.sorts,
-        symbols=erased.trs.symbols,
-        rules=tuple(deduped),
-        attestations=erased.trs.attestations,
-    )
-    return (
-        ErasedTrs(trs=out, rho=erased.rho, suffix=erased.suffix, origin=erased.origin),
-        [],
-    )
+    return replace(erased, rules=tuple(deduped)), []

@@ -196,21 +196,55 @@ def brute_force_redundant(
 # ---------------------------------------------------------------------------
 # Differential verification of an erasure
 
+MAX_RANDOM_TERM_SYMBOLS = 100_000
+
+
 def random_ground_term(
     trs: Trs, sort: Sort, depth: int, rng: random.Random
 ) -> Term:
     """A random ground term of the sort within the depth budget, over
-    the full signature."""
+    the full signature.
+
+    Symbols are drawn in preorder, uniformly among those that fit the
+    budget.  Where that draw branches more often than it stops, the
+    term can grow without end; after MAX_RANDOM_TERM_SYMBOLS draws,
+    every open argument gets its sort's least ground term instead.
+    """
     least = trs.least_ground_terms
     if sort not in least or least[sort][0] > depth:
         raise EmptySort(sort, depth)
     roots = trs.ground_roots
-
-    def build(s: Sort, budget: int) -> Term:
-        f = rng.choice([f for f, d in roots[s] if d <= budget])
-        return App(f, tuple(build(a, budget - 1) for a in f.arg_sorts))
-
-    return build(sort, depth)
+    fits: dict[tuple[Sort, int], list[FuncSymbol]] = {}
+    # draw the symbols in preorder; past the cap, a least ground term
+    # stands for a whole argument
+    drawn: list = []
+    stack = [(sort, depth)]
+    while stack:
+        task = stack.pop()
+        if len(drawn) >= MAX_RANDOM_TERM_SYMBOLS:
+            drawn.append(least[task[0]][1])
+            continue
+        if (candidates := fits.get(task)) is None:
+            s, budget = task
+            candidates = fits[task] = [f for f, d in roots[s] if d <= budget]
+        f = rng.choice(candidates)
+        drawn.append(f)
+        if f.arg_sorts:
+            budget = task[1] - 1
+            stack.extend([(a, budget) for a in reversed(f.arg_sorts)])
+    # in reverse preorder a symbol's arguments are the last results built,
+    # its first argument on top
+    done: list[Term] = []
+    for f in reversed(drawn):
+        if f.__class__ is not FuncSymbol:
+            done.append(f)
+        elif n := f.arity:
+            args = tuple(done[: -n - 1 : -1])
+            del done[-n:]
+            done.append(App(f, args))
+        else:
+            done.append(App(f, ()))
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -266,7 +300,7 @@ def differential_verify(
         sort = sorts[k % len(sorts)]
         t = random_ground_term(trs, sort, depth, rng)
         o1 = evaluate(t, trs, fuel=fuel)
-        o2 = evaluate(erase_term(t, rho, suffix), erased.trs, fuel=fuel)
+        o2 = evaluate(erase_term(t, rho, suffix), erased, fuel=fuel)
         if o1.exhausted or o2.exhausted:
             indeterminate += 1
             continue

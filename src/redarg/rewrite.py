@@ -74,8 +74,6 @@ class SemanticsResult:
     sred: frozenset[Term]
     seval: frozenset[Term]
     snf: frozenset[Term]
-    shnf: frozenset[Term]
-    sempty: frozenset[Term]
     truncated: bool
 
 
@@ -131,10 +129,6 @@ def is_constructor_ground(t: Term) -> bool:
             return False
         stack.extend(u.args)
     return True
-
-
-def is_normal_form(t: Term, trs: "Trs") -> bool:
-    return rewrite_step(t, trs) is None
 
 
 def _outcome(
@@ -268,24 +262,6 @@ def join(
     return True, a.term
 
 
-def joinable(
-    t: Term, s: Term, trs: "Trs", fuel: int = DEFAULT_FUEL
-) -> Optional[bool]:
-    """Whether t and s normalize to the same term.
-
-    Tri-state: None when either side runs out of fuel.  Complete only
-    on confluent, terminating systems; callers gate on those checks.
-    """
-    return join(t, s, trs, fuel)[0]
-
-
-def common_reduct(
-    t: Term, s: Term, trs: "Trs", fuel: int = DEFAULT_FUEL
-) -> Optional[Term]:
-    """The shared normal form when joinable, else None."""
-    return join(t, s, trs, fuel)[1]
-
-
 def evaluate(
     t: Term,
     trs: "Trs",
@@ -351,12 +327,6 @@ def successors(t: Term, trs: "Trs") -> list[Term]:
     return list(_reducts(t, trs))
 
 
-def _has_root_redex(t: Term, trs: "Trs") -> bool:
-    if isinstance(t, Var):
-        return False
-    return _match_at(t, trs.rules_for(t.symbol.name)) is not None
-
-
 Reached = dict[Term, Optional[list[Term]]]
 
 
@@ -413,11 +383,9 @@ def bounded_semantics(
     sred: every reachable term discovered within the caps.
     seval: sred restricted to constructor-ground terms.
     snf: expanded terms with no reduct.
-    shnf: terms whose (bounded) closure contains no root redex.
-    sempty: always empty.
 
-    truncated is set iff a cap was hit; membership in snf/shnf is then
-    an approximation and callers should skip comparisons.
+    truncated is set iff a cap was hit; membership in snf is then an
+    approximation and callers should skip comparisons.
     """
     if not is_ground(t):
         raise WellFormednessError(
@@ -425,32 +393,9 @@ def bounded_semantics(
         )
     reached, truncated = explore(t, trs, max_terms, max_steps)
     sred = frozenset(reached)
-    seval = frozenset(u for u in sred if is_constructor_ground(u))
-    snf = frozenset(u for u, succs in reached.items() if succs == [])
-    pred_map: dict[Term, list[Term]] = {u: [] for u in sred}
-    for u, succs in reached.items():
-        for v in succs or ():
-            if v in pred_map:
-                pred_map[v].append(u)
-
-    # backward closure of root-redex terms: anything that can reach one
-    # is not a head normal form
-    bad: set[Term] = set()
-    stack = [u for u in sred if _has_root_redex(u, trs)]
-    bad.update(stack)
-    while stack:
-        v = stack.pop()
-        for u in pred_map[v]:
-            if u not in bad:
-                bad.add(u)
-                stack.append(u)
-    shnf = frozenset(u for u in sred if u not in bad)
-
     return SemanticsResult(
         sred=sred,
-        seval=seval,
-        snf=snf,
-        shnf=shnf,
-        sempty=frozenset(),
+        seval=frozenset(u for u in sred if is_constructor_ground(u)),
+        snf=frozenset(u for u, succs in reached.items() if succs == []),
         truncated=truncated,
     )

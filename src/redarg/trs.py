@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     WellFormednessError,
 )
-from .rewrite import DEFAULT_FUEL, joinable
+from .rewrite import DEFAULT_FUEL, join
 from .terms import (
     App,
     FuncSymbol,
@@ -572,7 +572,7 @@ def check_confluence(
         return "unknown", None
     indeterminate = False
     for cp in cps:
-        j = joinable(cp.left, cp.right, trs, fuel=fuel)
+        j = join(cp.left, cp.right, trs, fuel=fuel)[0]
         if j is False:
             return "no", cp
         if j is None:

@@ -107,8 +107,8 @@ def test_criterion_02_reduced_erasures_match_expected():
         expected = load_corpus(f"expected/{stem}_reduced.trs")
         if (
             warnings
-            or not rules_alpha_equal(erased.trs.rules, expected.rules)
-            or _signature(erased.trs) != _signature(expected)
+            or not rules_alpha_equal(erased.rules, expected.rules)
+            or _signature(erased) != _signature(expected)
         ):
             bad.append(stem)
     _verdict(2, f"compressed erasures alpha-equal on all 8 (mismatches: {bad})",
@@ -131,7 +131,7 @@ def test_criterion_03_worked_intermediates():
     ev = check_triple(applast, tr, constants)
     checks.append(ev.joinable is True and str(ev.common) == "z'")
     erased = erase_trs(applast, _sound_rho(applast), "'")
-    checks.append([str(r) for r in erased.trs.rules] == [
+    checks.append([str(r) for r in erased.rules] == [
         "applast'(z) -> z",
         "applast'(z) -> lastnew'(z)",
         "lastnew'(z) -> z",
@@ -373,12 +373,12 @@ def test_criterion_10_invariant_suites():
         plain = erase_trs(trs, _sound_rho(trs), "'")
         compressed, warnings = reduced_erasure(plain)
         assert not warnings
-        for out in (plain.trs, compressed.trs):
+        for out in (plain, compressed):
             if not check_left_linear(out)[0]:
                 structure_ok = False
-        if check_confluence(plain.trs)[0] == "no":
+        if check_confluence(plain)[0] == "no":
             structure_ok = False
-        if not check_confluence(compressed.trs)[0].startswith("yes"):
+        if not check_confluence(compressed)[0].startswith("yes"):
             structure_ok = False
 
     # result sets are independent of candidate and rule order

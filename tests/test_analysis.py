@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from redarg import (
-    AnalysisConfig,
     PreconditionUnmet,
     Substitution,
     Var,
@@ -222,9 +221,8 @@ def test_analyze_justifications(applast):
 
 
 def test_analyze_needs_knowledge_chain(applast):
-    # (applast, 1) is only provable after (lastnew, 1) and (lastnew, 2)
-    only_first_round = analyze(applast, AnalysisConfig(max_rounds=1))
-    assert ("applast", 1) not in only_first_round.redundancy
+    # (applast, 1) is only provable after (lastnew, 1) and (lastnew, 2);
+    # test_analyze_justifications pins the rounds of the chain
     full = analyze(applast)
     assert ("applast", 1) in full.redundancy
 
@@ -246,10 +244,6 @@ def test_analyze_runs_to_the_fixpoint():
     result = analyze(trs)
     assert result.redundancy.entries == {f"c{j}": {2} for j in range(1, 56)}
     assert result.rounds == 56  # one round per function plus the fixpoint round
-    assert not any("stopped after" in n for n in result.notes)
-    capped = analyze(trs, AnalysisConfig(max_rounds=10))
-    assert capped.rounds == 10 and capped.redundancy.total_indices() == 10
-    assert "stopped after 10 rounds, before the fixpoint" in capped.notes
 
 
 def test_analyze_notes_on_negatives(nonconfluent, partial, noncs):
@@ -269,22 +263,8 @@ def test_analyze_notes_on_negatives(nonconfluent, partial, noncs):
                for n in r3.notes)
 
 
-def test_analyze_variable_case_only(bogus):
-    result = analyze(bogus, AnalysisConfig(methods=("variable",)))
-    assert {k: sorted(v) for k, v in result.redundancy.entries.items()} == {
-        "loop": [2]
-    }
-
-
-def test_analyze_pattern_case_only(plus_minus):
-    result = analyze(plus_minus, AnalysisConfig(methods=("pattern",)))
-    assert {k: sorted(v) for k, v in result.redundancy.entries.items()} == {
-        "minus_pe": [1]
-    }
-
-
 def test_analyze_indeterminate_with_tiny_fuel(plus_minus):
-    result = analyze(plus_minus, AnalysisConfig(fuel=0))
+    result = analyze(plus_minus, fuel=0)
     assert ("minus_pe", 1) in result.indeterminate
     assert ("minus_pe", 1) not in result.redundancy
 

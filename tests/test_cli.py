@@ -145,6 +145,14 @@ def test_erase_output_file(cli, tmp_path):
     assert dest.read_text() == expected_text("applast")
 
 
+def test_erase_output_into_missing_directory(cli, tmp_path):
+    dest = tmp_path / "missing" / "x.trs"
+    rc, out, err = cli("erase", str(corpus_path("applast.trs")), "-o", str(dest))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {dest}: ")
+    assert not dest.exists()
+
+
 def test_erase_reduced_abort_warns(cli):
     rc, out, err = cli("erase", str(corpus_path("negative/collapse.trs")),
                        "--reduced", "--rho", "h:1")
@@ -309,6 +317,16 @@ def test_verify_warns_when_no_trial_compares_values(cli, tmp_path):
     doc = json.loads(out)
     assert (doc["nonvalue"], doc["warnings"]) == (5, [VACUOUS[9:-1]])
     jsonschema.validate(doc, SCHEMA)
+
+
+def test_verify_at_depth_3000(cli):
+    # random terms 3,000 deep are built without recursion; drawing
+    # uniformly among Z, S and loop/3 branches more often than it stops,
+    # so the symbol cap of random_ground_term keeps them finite
+    rc, out, err = cli("verify", str(corpus_path("bogus.trs")),
+                       "--depth", "3000", "--trials", "3")
+    assert rc in (0, 1) and err == ""
+    assert out.splitlines()[0] == "trials: 3 (depth 3000, seed 42)"
 
 
 # --- oracle -----------------------------------------------------------------

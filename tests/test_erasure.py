@@ -85,17 +85,14 @@ def test_erasure_from_analysis_rejects_bad_index(applast):
 def test_erase_trs_applast(applast):
     rho = rho_of(applast, applast={1}, lastnew={1, 2})
     erased = erase_trs(applast, rho, "'")
-    assert [str(r) for r in erased.trs.rules] == [
+    assert [str(r) for r in erased.rules] == [
         "applast'(z) -> z",
         "applast'(z) -> lastnew'(z)",
         "lastnew'(z) -> z",
         "lastnew'(z) -> lastnew'(z)",
     ]
-    assert erased.origin["applast'"] == ("applast", (2,))
-    assert erased.origin["lastnew'"] == ("lastnew", (3,))
-    assert erased.origin["S"] == ("S", (1,))
     # termination is not preserved by erasure, so the pragma is gone
-    assert erased.trs.attestations == frozenset()
+    assert erased.attestations == frozenset()
 
 
 def test_erase_trs_plugs_unbound_variables():
@@ -108,8 +105,8 @@ def test_erase_trs_plugs_unbound_variables():
     rho = rho_of(trs, f={1})
     erased = erase_trs(trs, rho, "'")
     # x vanished from the lhs but g still wants it: designated constant
-    assert str(erased.trs.rules[0]) == "f'(y) -> g(Z, y)"
-    assert str(erased.trs.rules[1]) == "g(x, y) -> y"
+    assert str(erased.rules[0]) == "f'(y) -> g(Z, y)"
+    assert str(erased.rules[1]) == "g(x, y) -> y"
 
 
 def test_erase_trs_name_collision():
@@ -124,8 +121,8 @@ def test_erase_trs_name_collision():
 def test_erased_output_reparses(applast):
     rho = rho_of(applast, applast={1}, lastnew={1, 2})
     erased = erase_trs(applast, rho, "'")
-    again = parse_trs(format_trs(erased.trs))
-    assert again.rules == erased.trs.rules
+    again = parse_trs(format_trs(erased))
+    assert again.rules == erased.rules
 
 
 # --- compression ------------------------------------------------------------
@@ -137,11 +134,11 @@ def test_reduced_erasure_applast(applast):
     assert warnings == []
     # trivial rule dropped, applast'(z) -> lastnew'(z) normalized to a
     # duplicate of rule 1 and removed
-    assert [str(r) for r in compressed.trs.rules] == [
+    assert [str(r) for r in compressed.rules] == [
         "applast'(z) -> z",
         "lastnew'(z) -> z",
     ]
-    assert [r.label for r in compressed.trs.rules] == ["r1", "r3"]
+    assert [r.label for r in compressed.rules] == ["r1", "r3"]
 
 
 def test_reduced_erasure_identity_rho_keeps_rules(plus_minus):
@@ -149,7 +146,7 @@ def test_reduced_erasure_identity_rho_keeps_rules(plus_minus):
     compressed, warnings = reduced_erasure(erased)
     assert warnings == []
     # rhs y and minus_pe(x, y) are already in normal form
-    assert compressed.trs.rules == plus_minus.rules
+    assert compressed.rules == plus_minus.rules
 
 
 def test_reduced_erasure_aborts_on_loop(collapse):
@@ -162,8 +159,8 @@ def test_reduced_erasure_aborts_on_loop(collapse):
     )
     assert "returning the erasure uncompressed" in warnings[0]
     # wholesale abort: the unreduced rules come back, trivial ones included
-    assert compressed.trs.rules == erased.trs.rules
-    assert [str(r) for r in compressed.trs.rules] == [
+    assert compressed.rules == erased.rules
+    assert [str(r) for r in compressed.rules] == [
         "h'(y) -> a",
         "h'(y) -> h'(c(y))",
     ]
@@ -181,7 +178,7 @@ def test_reduced_erasure_aborts_without_reachable_normal_form():
     compressed, warnings = reduced_erasure(erased)
     assert len(warnings) == 1
     assert warnings[0].startswith("no normal form reachable")
-    assert compressed.trs.rules == erased.trs.rules
+    assert compressed.rules == erased.rules
 
 
 def test_reduced_erasure_aborts_on_ambiguous_normal_form():
@@ -196,7 +193,7 @@ def test_reduced_erasure_aborts_on_ambiguous_normal_form():
     compressed, warnings = reduced_erasure(erased)
     assert len(warnings) == 1
     assert warnings[0].startswith("normal form not unique")
-    assert compressed.trs.rules == erased.trs.rules
+    assert compressed.rules == erased.rules
 
 
 @pytest.mark.parametrize(
@@ -210,8 +207,8 @@ def test_reduced_erasure_matches_expected(name):
     rho = erasure_from_analysis(analyze(trs).redundancy, trs)
     compressed, warnings = reduced_erasure(erase_trs(trs, rho, "'"))
     assert warnings == []
-    assert rules_alpha_equal(compressed.trs.rules, expected.rules)
-    assert set(compressed.trs.symbols) == set(expected.symbols)
+    assert rules_alpha_equal(compressed.rules, expected.rules)
+    assert set(compressed.symbols) == set(expected.symbols)
 
 
 @pytest.mark.parametrize(
@@ -224,11 +221,11 @@ def test_erasure_preserves_left_linearity_and_confluence(name):
     rho = erasure_from_analysis(analyze(trs).redundancy, trs)
     erased = erase_trs(trs, rho, "'")
     compressed, _ = reduced_erasure(erased)
-    for system in (erased.trs, compressed.trs):
+    for system in (erased, compressed):
         ok, _ = check_left_linear(system)
         assert ok
     assert check_confluence(trs)[0].startswith("yes")
-    assert check_confluence(compressed.trs)[0].startswith("yes")
+    assert check_confluence(compressed)[0].startswith("yes")
 
 
 # --- the substitution homomorphism ------------------------------------------

@@ -178,6 +178,15 @@ def test_random_ground_term_bounds(applast):
         assert not vars_of(t)
 
 
+def test_random_ground_term_stops_drawing_at_the_cap(bogus, monkeypatch):
+    # past the cap every open argument gets its sort's least ground term
+    monkeypatch.setattr("redarg.oracle.MAX_RANDOM_TERM_SYMBOLS", 1)
+    least = bogus.least_ground_terms["Nat"][1]
+    for seed in range(10):
+        t = random_ground_term(bogus, "Nat", 50, random.Random(seed))
+        assert all(a == least for a in t.args)
+
+
 def test_random_ground_term_empty_sort():
     trs = load_corpus("negative/four_rules.trs")
     with pytest.raises(EmptySort):
