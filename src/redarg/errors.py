@@ -80,7 +80,7 @@ class EmptySort(RedargError):
 
     exit_code = 4
 
-    def __init__(self, sort: str, depth: int) -> None:
+    def __init__(self, sort: str, depth: int, message: str | None = None) -> None:
         self.sort = sort
         self.depth = depth
-        super().__init__(f"sort {sort} has no ground terms of depth <= {depth}")
+        super().__init__(message or f"sort {sort} has no ground terms of depth <= {depth}")

@@ -150,6 +150,15 @@ def brute_force_redundant(
     truncated comparisons are skipped and counted."""
     bounds = bounds or EnumBounds()
     sym = trs.symbol_map[f if isinstance(f, str) else f.name]
+    # the subjects' arguments are one level below the term depth
+    least = trs.least_ground_terms
+    for k, s in enumerate(sym.arg_sorts, 1):
+        if s not in least or least[s][0] >= bounds.term_depth:
+            why = (f"whose shallowest ground term has depth {least[s][0]}"
+                   if s in least else "which has no ground terms")
+            raise EmptySort(s, bounds.term_depth - 1,
+                            f"--term-depth {bounds.term_depth} admits no {sym.name} "
+                            f"term: argument {k} has sort {s}, {why}")
     contexts = enumerate_contexts(trs, sym.result_sort, bounds.ctx_depth)
     arg_pools = [
         enumerate_ground_terms(trs, s, bounds.term_depth - 1) for s in sym.arg_sorts

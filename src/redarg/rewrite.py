@@ -32,9 +32,10 @@ if TYPE_CHECKING:
 DEFAULT_FUEL = 10_000
 DEFAULT_MAX_TERMS = 5_000
 DEFAULT_MAX_STEPS = 20_000
-# entries of a system's one-step-reducts memo (Trs.reducts_memo) past
-# which it is cleared; the largest oracle probe of the corpus needs about 280k
-REDUCTS_MEMO_CAP = 500_000
+# entries of a system's memo of one-step reducts (Trs.reducts_memo) or of
+# normal forms (Trs.normal_form_memo) past which it is cleared; the
+# largest oracle probe of the corpus needs about 280k reducts entries
+MEMO_CAP = 500_000
 
 STRATEGIES = ("leftmost-innermost", "leftmost-outermost")
 
@@ -141,14 +142,16 @@ def _outcome(
     return EvalOutcome(kind, term, steps, None if trace is None else tuple(trace))
 
 
-# A frame of the innermost machine is [template, bindings, args]; args
-# holds the normal forms of the template's first len(args) arguments.
+# A frame of the innermost machine is [template, bindings, args, seen];
+# args holds the normal forms of the template's first len(args)
+# arguments, and seen each node the frame tried the root rules on, with
+# the step count at that point.
 _NO_BINDINGS = Substitution()
 
 
 def _rebuild(stack: list[list], term: Term) -> Term:
     """The whole term, with term at the position of the top frame."""
-    for tmpl, sigma, args in reversed(stack[:-1]):
+    for tmpl, sigma, args, _ in reversed(stack[:-1]):
         rest = tuple(sigma.apply(a) for a in tmpl.args[len(args) + 1 :])
         term = App(tmpl.symbol, (*args, term, *rest))
     return term
@@ -163,16 +166,27 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
     are tried in file order; a firing rule re-points the frame at its
     rhs.  That is the redex rewrite_step would pick from the root, but
     the bound normal forms are never scanned again.
+
+    The normalization of a node whose arguments are normal forms does
+    not depend on its context, so trs.normal_form_memo maps such nodes
+    to (normal form, steps).  A hit stands for its steps only when they
+    all fit in the fuel left; otherwise the node is rewritten as usual.
+    When a frame's normal form is known, each node it built is stored.
+    With want_trace the memo is neither read nor written.  It is
+    cleared once it holds more than MEMO_CAP entries.
     """
     trace: Optional[list[TraceStep]] = [] if want_trace else None
     if isinstance(t, Var):
         return _outcome(t, 0, trace)
     index = trs.rules_by_root
+    memo = None if want_trace else trs.normal_form_memo
+    if memo is not None and len(memo) > MEMO_CAP:
+        memo.clear()
     last = t  # the whole term after the last step, for the trace
     steps = 0
-    stack: list[list] = [[t, _NO_BINDINGS, []]]
+    stack: list[list] = [[t, _NO_BINDINGS, [], []]]
     while True:
-        tmpl, sigma, args = stack[-1]
+        tmpl, sigma, args, seen = stack[-1]
         targs = tmpl.args
         if len(args) < len(targs):
             a = targs[len(args)]
@@ -180,30 +194,38 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
                 bound = sigma.get(a.name)
                 args.append(a if bound is None else bound)
             else:
-                stack.append([a, sigma, []])
+                stack.append([a, sigma, [], []])
             continue
         if all(map(is_, args, targs)):
             node = tmpl
         else:
             node = App(tmpl.symbol, tuple(args))
+        value = node
         rules = index.get(tmpl.symbol.name)
-        hit = _match_at(node, rules) if rules else None
-        if hit is not None and steps >= fuel:
-            return _outcome(_rebuild(stack, node), steps, trace, exhausted=True)
-        if hit is None:
-            value = node
-        else:
-            rule, s = hit
-            steps += 1
-            if trace is not None:
-                after = _rebuild(stack, s.apply(rule.rhs))
-                position = tuple(len(f[2]) + 1 for f in stack[:-1])
-                trace.append(TraceStep(position, rule, last, after))
-                last = after
-            if isinstance(rule.rhs, App):
-                stack[-1] = [rule.rhs, s, []]
-                continue
-            value = s.apply(rule.rhs)
+        found = memo.get(node) if rules and memo is not None else None
+        if found is not None and steps + found[1] <= fuel:
+            value, k = found
+            steps += k
+        elif rules:
+            seen.append((node, steps))
+            hit = _match_at(node, rules)
+            if hit is not None:
+                if steps >= fuel:
+                    return _outcome(_rebuild(stack, node), steps, trace, exhausted=True)
+                rule, s = hit
+                steps += 1
+                if trace is not None:
+                    after = _rebuild(stack, s.apply(rule.rhs))
+                    position = tuple(len(f[2]) + 1 for f in stack[:-1])
+                    trace.append(TraceStep(position, rule, last, after))
+                    last = after
+                if isinstance(rule.rhs, App):
+                    stack[-1] = [rule.rhs, s, [], seen]
+                    continue
+                value = s.apply(rule.rhs)
+        if memo is not None:
+            for n, k in seen:
+                memo[n] = (value, steps - k)
         stack.pop()
         if not stack:
             return _outcome(value, steps, trace)
@@ -284,7 +306,7 @@ def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
     interned, so an entry stays valid and a lookup never walks a term.
     Iterative: a subterm is expanded once the memo has its arguments.
     The memo is cleared, but for s, after an expansion that takes it
-    past REDUCTS_MEMO_CAP entries.
+    past MEMO_CAP entries.
     """
     if isinstance(s, Var):
         return ()
@@ -315,7 +337,7 @@ def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
                     res.append(App(u.symbol, args[:i] + (red,) + args[i + 1 :]))
         memo[u] = found = tuple(dict.fromkeys(res))
     # s is expanded last, so found is its reducts
-    if len(memo) > REDUCTS_MEMO_CAP:
+    if len(memo) > MEMO_CAP:
         memo.clear()
         memo[s] = found
     return found

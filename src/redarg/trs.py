@@ -100,6 +100,13 @@ class Trs:
         return {}
 
     @cached_property
+    def normal_form_memo(self) -> dict[Term, tuple[Term, int]]:
+        """The leftmost-innermost normal form of each node whose
+        arguments are normal forms, with the steps it takes; filled, and
+        cleared at its cap, by rewrite._innermost."""
+        return {}
+
+    @cached_property
     def least_constructor_terms(self) -> dict[Sort, tuple[int, Term]]:
         """Per sort with a ground constructor term: the least depth of
         one, and the designated constant (see designated_constant)."""

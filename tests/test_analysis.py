@@ -8,7 +8,6 @@ import pytest
 
 from redarg import (
     PreconditionUnmet,
-    Substitution,
     Var,
     analyze,
     designated_constants,

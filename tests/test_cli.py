@@ -393,6 +393,18 @@ def test_oracle_empty_sort(cli, tmp_path):
     assert "has no ground terms" in err
 
 
+
+@pytest.mark.parametrize("symbol, depth, sort", [
+    ("applast", "0", "List"),
+    ("cons", "1", "Nat"),
+])
+def test_oracle_term_depth_too_shallow_for_the_arguments(cli, symbol, depth, sort):
+    rc, out, err = cli("oracle", str(corpus_path("applast.trs")),
+                       "-f", symbol, "-i", "1", "--term-depth", depth)
+    assert (rc, out) == (4, "")
+    assert err == (f"error: --term-depth {depth} admits no {symbol} term: argument 1 "
+                   f"has sort {sort}, whose shallowest ground term has depth 1\n")
+
 # --- bench ------------------------------------------------------------------
 
 def test_bench_golden(cli, corpus_dir):

@@ -196,6 +196,83 @@ def test_innermost_normalize_never_rescans(plus_minus, monkeypatch):
     assert normalize(goal, plus_minus, want_trace=True).steps == 5
 
 
+# --- the normal-form memo -----------------------------------------------------
+
+def outcome_key(out):
+    return out.kind, out.term, out.steps
+
+
+def cold(goal, trs, **kwargs):
+    """normalize with an empty normal-form memo."""
+    trs.normal_form_memo.clear()
+    return normalize(goal, trs, **kwargs)
+
+
+@pytest.mark.parametrize("relpath", CORPUS_SYSTEMS)
+def test_normal_form_memo_is_exact(relpath):
+    warm, fresh = load_corpus(relpath), load_corpus(relpath)
+    rng = random.Random(relpath)
+    goals = [random_term(warm, rng, open_term=False) for _ in range(25)]
+    full = [outcome_key(normalize(goal, warm)) for goal in goals]
+    assert warm.normal_form_memo
+    for goal, want in zip(goals, full):
+        assert outcome_key(cold(goal, fresh)) == want
+        # below, at and just above the step count: exhausted terms and
+        # hits that do not fit in the fuel left
+        for fuel in range(want[2] + 2):
+            expected = outcome_key(cold(goal, fresh, fuel=fuel))
+            assert outcome_key(normalize(goal, warm, fuel=fuel)) == expected
+
+
+@pytest.mark.parametrize("relpath", CORPUS_SYSTEMS)
+def test_trace_and_outermost_bypass_the_memo(relpath):
+    warm, fresh = load_corpus(relpath), load_corpus(relpath)
+    rng = random.Random(relpath)
+    goals = [random_term(warm, rng, open_term=False) for _ in range(25)]
+    for goal in goals:
+        normalize(goal, warm)
+    memo = dict(warm.normal_form_memo)
+    for goal in goals:
+        traced = normalize(goal, warm, want_trace=True)
+        expected = cold(goal, fresh, want_trace=True)
+        assert outcome_key(traced) == outcome_key(expected)
+        assert [str(s) for s in traced.trace] == [str(s) for s in expected.trace]
+        outer = normalize(goal, warm, strategy="leftmost-outermost")
+        expected = cold(goal, fresh, strategy="leftmost-outermost")
+        assert outcome_key(outer) == outcome_key(expected)
+    assert warm.normal_form_memo == memo
+
+
+def test_second_evaluation_matches_nothing(monkeypatch):
+    calls = []
+
+    def counted(pattern, t):
+        calls.append(t)
+        return match(pattern, t)
+
+    monkeypatch.setattr("redarg.rewrite.match", counted)
+    trs = load_corpus("plus_minus.trs")
+    goal = parse_term("minus_pe(minus_pe(S(S(S(Z))), S(Z)), minus_pe(S(Z), Z))", trs)
+    first = normalize(goal, trs)
+    assert calls and first.kind == "value"
+    calls.clear()
+    assert normalize(goal, trs) == first
+    assert calls == []
+
+
+def test_normal_form_memo_is_cleared_at_its_cap(monkeypatch):
+    trs, fresh = load_corpus("applast.trs"), load_corpus("applast.trs")
+    monkeypatch.setattr("redarg.rewrite.MEMO_CAP", 3)
+    rng = random.Random(7)
+    sizes = []
+    for _ in range(40):
+        goal = random_term(trs, rng, open_term=False)
+        assert outcome_key(normalize(goal, trs)) == outcome_key(cold(goal, fresh))
+        sizes.append(len(trs.normal_form_memo))
+    assert max(sizes) > 3
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
 def nest(symbol, n, leaf):
     t = leaf
     for _ in range(n):
@@ -304,7 +381,7 @@ def test_successors_agree_with_unmemoized_reducts(relpath):
 
 def test_reducts_memo_is_cleared_at_its_cap(monkeypatch):
     trs = load_corpus("applast.trs")
-    monkeypatch.setattr("redarg.rewrite.REDUCTS_MEMO_CAP", 5)
+    monkeypatch.setattr("redarg.rewrite.MEMO_CAP", 5)
     goal = parse_term("applast(cons(S(Z), cons(Z, nil)), applast(nil, S(Z)))", trs)
     reached, truncated = explore(goal, trs)
     assert not truncated

@@ -3,11 +3,9 @@
 import pytest
 
 from redarg import (
-    App,
     NoGroundConstant,
     NotAConstructorSystem,
     ParseError,
-    Trs,
     Var,
     WellFormednessError,
     build_property_report,
