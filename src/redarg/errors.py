@@ -75,12 +75,12 @@ class NotAConstructorSystem(RedargError):
 
 
 class EmptySort(RedargError):
-    """Term enumeration was asked for a sort with no ground terms within
-    the requested depth."""
+    """Term enumeration was asked for a sort (None: any sort) with no
+    ground terms within the requested depth."""
 
     exit_code = 4
 
-    def __init__(self, sort: str, depth: int, message: str | None = None) -> None:
+    def __init__(self, sort: str | None, depth: int, message: str | None = None) -> None:
         self.sort = sort
         self.depth = depth
         super().__init__(message or f"sort {sort} has no ground terms of depth <= {depth}")

@@ -302,7 +302,10 @@ def differential_verify(
     least = trs.least_ground_terms
     sorts = [s for s in trs.sorts if s in least and least[s][0] <= depth]
     if not sorts:
-        raise EmptySort(trs.sorts[0] if trs.sorts else "?", depth)
+        why = (f"the shallowest ground term of any sort has depth "
+               f"{min(d for d, _ in least.values())}" if least
+               else "the system has no ground terms")
+        raise EmptySort(None, depth, f"--depth {depth} admits no ground term: {why}")
     agree = disagree = indeterminate = nonvalue = 0
     witnesses: list[Disagreement] = []
     for k in range(trials):

@@ -9,9 +9,10 @@ complete definedness, confluence, and Seval-definedness.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     NoGroundConstant,
@@ -25,6 +26,7 @@ from .terms import (
     FuncSymbol,
     Position,
     Sort,
+    Substitution,
     Term,
     Var,
     fold,
@@ -189,136 +191,112 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_']*|[(),])|(\S))")
 
 
-@dataclass
-class _TermNode:
-    """Raw syntax tree before symbol resolution."""
+def _read_term(
+    text: str,
+    line: int,
+    symbols: dict[str, FuncSymbol],
+    var_sorts: dict[str, Sort],
+    expected: Optional[Sort],
+    rule_lhs: bool = False,
+) -> Term:
+    """Parse one term and resolve it in the signature, in one pass over
+    its tokens; iterative, so nesting depth is not limited by the
+    interpreter's recursion limit.
 
-    name: str
-    args: list["_TermNode"]
-    call: bool  # written with parentheses
-
-
-def _tokenize_term(text: str, line: int) -> list[str]:
+    Undeclared identifiers are variables; var_sorts holds the sorts
+    they took.  A bad character is reported first, then the first
+    syntax error, then the first well-formedness error in preorder (at
+    one node, arity before sort).  A node's arity is known only at its
+    ')', after later syntax errors may have occurred, so the
+    well-formedness error is held with the node's preorder index until
+    the whole term has parsed, and no App is built after it.  With
+    rule_lhs, a variable at the root is that error.
+    """
     tokens: list[str] = []
     for token, bad in _TOKEN.findall(text):
         if bad:
             raise ParseError(f"unexpected character {bad!r} in term", line)
         tokens.append(token)
-    return tokens
-
-
-def _parse_term_node(tokens: list[str], line: int) -> _TermNode:
-    """Parse one term; iterative, so nesting depth is not limited by the
-    interpreter's recursion limit."""
-    open_calls: list[_TermNode] = []  # applications still reading arguments
-    idx = 0
+    end = len(tokens)
+    error: Optional[tuple[int, str]] = None  # (preorder index, message)
+    # applications reading their arguments: (symbol, preorder index, arguments)
+    open_apps: list[tuple[Optional[FuncSymbol], int, list[Term]]] = []
+    term: Optional[Term] = None  # the last node resolved; unread once an error is held
+    pos = nodes = 0
     while True:
-        if idx >= len(tokens):
+        if pos == end:
             raise ParseError("unexpected end of term", line)
-        name = tokens[idx]
-        if not _IDENT.fullmatch(name):
+        name = tokens[pos]
+        if name in "(),":
             raise ParseError(f"expected identifier, got {name!r}", line)
-        idx += 1
-        if idx < len(tokens) and tokens[idx] == "(":
-            idx += 1
-            node = _TermNode(name, [], True)
-            if idx >= len(tokens) or tokens[idx] != ")":
-                open_calls.append(node)
-                continue  # parse its first argument
-            idx += 1
-        else:
-            node = _TermNode(name, [], False)
-        # node is complete: add it to its parent, closing what it completes
-        while open_calls:
-            open_calls[-1].args.append(node)
-            if idx >= len(tokens):
-                raise ParseError("unclosed parenthesis in term", line)
-            if tokens[idx] == ",":
-                idx += 1
-                break  # parse the next argument
-            if tokens[idx] != ")":
-                raise ParseError(f"expected ',' or ')', got {tokens[idx]!r}", line)
-            idx += 1
-            node = open_calls.pop()
-        else:
-            if idx != len(tokens):
-                raise ParseError(f"trailing tokens after term: {tokens[idx]!r}", line)
-            return node
-
-
-def _resolve_node(
-    node: _TermNode,
-    expected: Optional[Sort],
-    symbols: dict[str, FuncSymbol],
-    var_sorts: dict[str, Sort],
-    line: int,
-) -> Term:
-    """Resolve symbols and infer variable sorts, in preorder, left to
-    right; iterative, like _parse_term_node."""
-    # applications whose arguments are being resolved: (symbol, argument
-    # nodes, resolved arguments)
-    open_apps: list[tuple[FuncSymbol, list[_TermNode], list[Term]]] = []
-    while True:
-        sym = symbols.get(node.name)
-        if sym is not None:
-            if len(node.args) != sym.arity:
-                raise WellFormednessError(
-                    f"line {line}: {sym.name} expects {sym.arity} arguments, "
-                    f"got {len(node.args)}"
-                )
+        pos += 1
+        index, nodes = nodes, nodes + 1
+        call = pos < end and tokens[pos] == "("
+        sym = symbols.get(name)
+        if error is not None:
+            pass  # this node comes later in preorder than the error held
+        elif sym is not None:
             if expected is not None and sym.result_sort != expected:
-                raise WellFormednessError(
-                    f"line {line}: {sym.name} has sort {sym.result_sort}, "
-                    f"expected {expected}"
-                )
-            if node.args:
-                open_apps.append((sym, node.args, []))
-                node, expected = node.args[0], sym.arg_sorts[0]
-                continue
-            term: Term = App(sym, ())
+                error = (index, f"{name} has sort {sym.result_sort}, expected {expected}")
+        elif rule_lhs and index == 0:
+            error = (0, "rule left-hand side is a variable")
+        elif call:
+            error = (index, f"undeclared symbol {name} used with arguments")
         else:
-            # undeclared identifier: a variable
-            if node.args or node.call:
-                raise WellFormednessError(
-                    f"line {line}: undeclared symbol {node.name} used with arguments"
-                )
+            prev = var_sorts.get(name)
             if expected is None:
-                known = var_sorts.get(node.name)
-                if known is None:
-                    raise WellFormednessError(
-                        f"line {line}: cannot infer sort of variable {node.name}"
-                    )
-                expected = known
-            prev = var_sorts.get(node.name)
-            if prev is None:
-                var_sorts[node.name] = expected
+                expected = prev
+            if expected is None:
+                error = (index, f"cannot infer sort of variable {name}")
+            elif prev is None:
+                var_sorts[name] = expected
             elif prev != expected:
-                raise WellFormednessError(
-                    f"line {line}: variable {node.name} used at sorts {prev} and {expected}"
-                )
-            term = Var(node.name, expected)
-        # term is resolved: add it to its parent, building what it completes
-        while open_apps:
-            sym, arg_nodes, done = open_apps[-1]
-            done.append(term)
-            if len(done) < len(arg_nodes):
-                node, expected = arg_nodes[len(done)], sym.arg_sorts[len(done)]
-                break  # resolve the next argument
+                error = (index, f"variable {name} used at sorts {prev} and {expected}")
+            term = Var(name, expected)
+        args: Sequence[Term] = ()
+        if call:
+            pos += 1
+            if pos == end or tokens[pos] != ")":
+                open_apps.append((sym, index, []))
+                expected = sym.arg_sorts[0] if sym is not None and sym.arg_sorts else None
+                continue  # read its first argument
+            pos += 1
+        # the node is complete: close it, and every application it completes
+        while True:
+            if sym is not None:
+                arity = len(sym.arg_sorts)
+                if arity != len(args) and (error is None or index <= error[0]):
+                    error = (index, f"{sym.name} expects {arity} arguments, got {len(args)}")
+                if error is None:
+                    term = App(sym, tuple(args))
+            if not open_apps:
+                if pos != end:
+                    raise ParseError(f"trailing tokens after term: {tokens[pos]!r}", line)
+                if error is not None:
+                    raise WellFormednessError(f"line {line}: {error[1]}")
+                return term
+            sym, index, args = open_apps[-1]
+            args.append(term)
+            if pos == end:
+                raise ParseError("unclosed parenthesis in term", line)
+            token = tokens[pos]
+            pos += 1
+            if token == ",":
+                k = len(args)
+                expected = sym.arg_sorts[k] if sym is not None and k < len(sym.arg_sorts) else None
+                break  # read the next argument
+            if token != ")":
+                raise ParseError(f"expected ',' or ')', got {token!r}", line)
             open_apps.pop()
-            term = App(sym, tuple(done))
-        else:
-            return term
 
 
-def parse_term(text: str, trs: "Trs | dict[str, FuncSymbol]", sort: Optional[Sort] = None) -> Term:
+def parse_term(text: str, trs: Trs, sort: Optional[Sort] = None) -> Term:
     """Parse a term string in a system's signature.
 
     Undeclared identifiers become variables; their sorts must be
     inferable from their positions.
     """
-    symbols = trs if isinstance(trs, dict) else trs.symbol_map
-    node = _parse_term_node(_tokenize_term(text, 0), 0)
-    return _resolve_node(node, sort, symbols, {}, 0)
+    return _read_term(text, 0, trs.symbol_map, {}, sort)
 
 
 def _parse_signature_line(rest: str, line: int) -> tuple[str, tuple[str, ...], str]:
@@ -409,15 +387,9 @@ def parse_trs(text: str) -> Trs:
     rules: list[Rule] = []
     for idx, (lhs_text, rhs_text, lineno) in enumerate(rule_texts, start=1):
         var_sorts: dict[str, Sort] = {}
-        lhs_node = _parse_term_node(_tokenize_term(lhs_text, lineno), lineno)
-        root = symbols.get(lhs_node.name)
-        if root is None:
-            raise WellFormednessError(
-                f"line {lineno}: rule left-hand side is a variable"
-            )
-        lhs = _resolve_node(lhs_node, root.result_sort, symbols, var_sorts, lineno)
-        rhs_node = _parse_term_node(_tokenize_term(rhs_text, lineno), lineno)
-        rhs = _resolve_node(rhs_node, root.result_sort, symbols, var_sorts, lineno)
+        lhs = _read_term(lhs_text, lineno, symbols, var_sorts, None, rule_lhs=True)
+        root = lhs.symbol
+        rhs = _read_term(rhs_text, lineno, symbols, var_sorts, root.result_sort)
         extra = var_names(rhs) - var_names(lhs)
         if extra:
             raise WellFormednessError(
@@ -473,13 +445,6 @@ def check_left_linear(trs: Trs) -> tuple[bool, Optional[tuple[Rule, str]]]:
     return True, None
 
 
-def _is_constructor_term(t: Term) -> bool:
-    return all(
-        isinstance(u := subterm(t, p), Var) or u.symbol.kind == "constructor"
-        for p in iter_positions(t)
-    )
-
-
 def check_constructor_system(trs: Trs) -> tuple[bool, Optional[Rule]]:
     """True iff every lhs is f(l1..ln) with f defined and all li
     constructor terms."""
@@ -487,8 +452,13 @@ def check_constructor_system(trs: Trs) -> tuple[bool, Optional[Rule]]:
         lhs = rule.lhs
         if not isinstance(lhs, App) or lhs.symbol.kind != "defined":
             return False, rule
-        if not all(_is_constructor_term(a) for a in lhs.args):
-            return False, rule
+        stack = list(lhs.args)
+        while stack:
+            u = stack.pop()
+            if isinstance(u, App):
+                if u.symbol.kind != "constructor":
+                    return False, rule
+                stack.extend(u.args)
     return True, None
 
 
@@ -507,8 +477,6 @@ def _rename_apart(rule: Rule, avoid: set[str]) -> Rule:
         mapping[v.name] = Var(fresh, v.sort)
     if not mapping:
         return rule
-    from .terms import Substitution
-
     ren = Substitution(mapping)
     return Rule(ren.apply(rule.lhs), ren.apply(rule.rhs), rule.label)
 
@@ -799,6 +767,4 @@ def canonical_rule(rule: Rule) -> tuple[str, str]:
 
 def rules_alpha_equal(a: Iterable[Rule], b: Iterable[Rule]) -> bool:
     """Order-insensitive multiset comparison of rules up to renaming."""
-    from collections import Counter
-
     return Counter(map(canonical_rule, a)) == Counter(map(canonical_rule, b))

@@ -319,6 +319,21 @@ def test_verify_warns_when_no_trial_compares_values(cli, tmp_path):
     jsonschema.validate(doc, SCHEMA)
 
 
+@pytest.mark.parametrize("text, depth, why", [
+    (None, "0", "the shallowest ground term of any sort has depth 1"),
+    ("sort A\ncons box : A -> A\n", "6", "the system has no ground terms"),
+    ("", "6", "the system has no ground terms"),
+])
+def test_verify_depth_admits_no_ground_term(cli, tmp_path, text, depth, why):
+    path = corpus_path("applast.trs")
+    if text is not None:
+        path = tmp_path / "nogterm.trs"
+        path.write_text(text)
+    rc, out, err = cli("verify", str(path), "--depth", depth)
+    assert (rc, out) == (4, "")
+    assert err == f"error: --depth {depth} admits no ground term: {why}\n"
+
+
 def test_verify_at_depth_3000(cli):
     # random terms 3,000 deep are built without recursion; drawing
     # uniformly among Z, S and loop/3 branches more often than it stops,

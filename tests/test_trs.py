@@ -6,6 +6,7 @@ from redarg import (
     NoGroundConstant,
     NotAConstructorSystem,
     ParseError,
+    RedargError,
     Var,
     WellFormednessError,
     build_property_report,
@@ -136,6 +137,83 @@ def test_parse_term_needs_inferable_sort():
     with pytest.raises(WellFormednessError):
         parse_term("x", trs)  # bare variable, no expected sort
     assert parse_term("x", trs, sort="Nat") == Var("x", "Nat")
+
+
+@pytest.mark.parametrize(
+    "text, sort, exc, message",
+    [
+        # a bad character first, then the first syntax error
+        ("S(Z)$", None, ParseError, "unexpected character '$' in term"),
+        ("applast(S, nil Z) $", None, ParseError, "unexpected character '$' in term"),
+        ("", None, ParseError, "unexpected end of term"),
+        ("S(Z,", None, ParseError, "unexpected end of term"),
+        ("S(y(", None, ParseError, "unexpected end of term"),
+        ("S(,Z)", None, ParseError, "expected identifier, got ','"),
+        ("(", None, ParseError, "expected identifier, got '('"),
+        ("S(Z", None, ParseError, "unclosed parenthesis in term"),
+        ("x(Z", None, ParseError, "unclosed parenthesis in term"),
+        ("applast(S(nil), Z, Z", None, ParseError, "unclosed parenthesis in term"),
+        ("applast(S, nil Z)", None, ParseError, "expected ',' or ')', got 'Z'"),
+        ("S(Z))", None, ParseError, "trailing tokens after term: ')'"),
+        ("S(x) x", None, ParseError, "trailing tokens after term: 'x'"),
+        ("S(Z),", None, ParseError, "trailing tokens after term: ','"),
+        # then the first well-formedness error in preorder; at one node,
+        # the arity error before the sort error
+        ("applast(lastnew(Z), Z, Z)", None, WellFormednessError,
+         "applast expects 2 arguments, got 3"),
+        ("S(applast(nil, Z), x)", None, WellFormednessError, "S expects 1 arguments, got 2"),
+        ("S()", None, WellFormednessError, "S expects 1 arguments, got 0"),
+        ("applast(nil)", "List", WellFormednessError, "applast expects 2 arguments, got 1"),
+        ("S(nil(Z))", None, WellFormednessError, "nil expects 0 arguments, got 1"),
+        ("S(nil)", None, WellFormednessError, "nil has sort List, expected Nat"),
+        ("nil", "Nat", WellFormednessError, "nil has sort List, expected Nat"),
+        ("applast(cons(S(nil), x), lastnew(Z))", None, WellFormednessError,
+         "nil has sort List, expected Nat"),
+        ("applast(x, x)", None, WellFormednessError, "variable x used at sorts List and Nat"),
+        ("x(Z)", None, WellFormednessError, "undeclared symbol x used with arguments"),
+        ("x()", None, WellFormednessError, "undeclared symbol x used with arguments"),
+        ("cons(x, x(Z))", None, WellFormednessError, "undeclared symbol x used with arguments"),
+        ("x", None, WellFormednessError, "cannot infer sort of variable x"),
+        # accepted
+        ("Z()", None, None, "Z"),
+        ("x", "Nat", None, "x"),
+        ("lastnew(x, cons(x, nil), Z)", None, None, "lastnew(x, cons(x, nil), Z)"),
+    ],
+)
+def test_parse_term_messages(applast, text, sort, exc, message):
+    if exc is None:
+        assert format_term(parse_term(text, applast, sort)) == message
+        return
+    with pytest.raises(RedargError) as info:
+        parse_term(text, applast, sort)
+    assert (type(info.value), str(info.value)) == (exc, f"line 0: {message}")
+
+
+@pytest.mark.parametrize(
+    "rules, exc, message",
+    [
+        ("rule x( -> a", ParseError, "unexpected end of term"),
+        ("rule (x) -> a", ParseError, "expected identifier, got '('"),
+        ("rule f(x -> a", ParseError, "unclosed parenthesis in term"),
+        ("rule f(x) -> $", ParseError, "unexpected character '$' in term"),
+        ("rule x(a) -> a", WellFormednessError, "rule left-hand side is a variable"),
+        ("rule x(y(z)) -> a", WellFormednessError, "rule left-hand side is a variable"),
+        ("rule x -> a", WellFormednessError, "rule left-hand side is a variable"),
+        # the left-hand side is resolved before the right-hand side is read
+        ("rule f(a, a) -> a(", WellFormednessError, "f expects 1 arguments, got 2"),
+        ("rule f(x) -> f(a, x)", WellFormednessError, "f expects 1 arguments, got 2"),
+        ("rule f(x) -> b", WellFormednessError, "b has sort M, expected N"),
+        ("rule f(x) -> g(x)", WellFormednessError, "variable x used at sorts N and M"),
+        ("rule f(x) -> y", WellFormednessError, "right-hand side has extra variables y"),
+        ("rule a -> a", WellFormednessError, "constructor a roots a rule"),
+    ],
+)
+def test_parse_trs_rule_messages(rules, exc, message):
+    text = ("sort N\nsort M\ncons a : N\ncons b : M\n"
+            "fun f : N -> N\nfun g : M -> N\n" + rules + "\n")
+    with pytest.raises(RedargError) as info:
+        parse_trs(text)
+    assert (type(info.value), str(info.value)) == (exc, f"line 7: {message}")
 
 
 def test_format_round_trip():
