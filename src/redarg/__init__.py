@@ -25,7 +25,6 @@ from .terms import (
     is_ground,
     is_linear,
     match,
-    pos_fi,
     positions,
     replace,
     sort_of,
@@ -69,7 +68,6 @@ from .analysis import (
     fi_triples,
     is_fi_redundant_var,
     pattern_case,
-    redundant_positions,
     sigma_c,
     tau_transform,
     variable_case,

@@ -25,17 +25,12 @@ from .rewrite import DEFAULT_FUEL, join
 from .terms import (
     App,
     FuncSymbol,
-    Position,
     Substitution,
     Term,
     Var,
-    is_prefix,
-    iter_positions,
-    pos_fi,
-    sort_of,
-    subterm,
-    replace,
+    fold,
     unify_up_to_arg,
+    var_names,
     vars_of,
 )
 from .trs import (
@@ -104,22 +99,22 @@ class AnalysisResult:
     rounds: int
 
 
-def redundant_positions(t: Term, known: KnownMap) -> set[Position]:
-    """Positions of t at or below an argument index already known
-    redundant: {p | p = q.i.p', root(t|_q) = f, i in known(f)}.
-
-    An under-approximation of the redundant positions of t; growing
-    `known` only grows it.
-    """
-    out: set[Position] = set()
-    stack: list[tuple[Term, Position, bool]] = [(t, (), False)]
+def _visible_vars(r: Term, fname: str, i: int, known: KnownMap) -> set[str]:
+    """The names of the variables at a visible position of r: one not
+    at or below an index known redundant, nor under the i-th argument
+    of an f-rooted subterm.  Iterative; a hidden subterm is not
+    entered."""
+    out: set[str] = set()
+    stack = [r]
     while stack:
-        u, p, below = stack.pop()
-        if below:
-            out.add(p)
-        if isinstance(u, App):
-            hidden = known.get(u.symbol.name, frozenset())
-            stack += ((a, p + (k,), below or k in hidden) for k, a in enumerate(u.args, 1))
+        u = stack.pop()
+        if isinstance(u, Var):
+            out.add(u.name)
+            continue
+        name = u.symbol.name
+        hidden = known.get(name, ())
+        stack += (a for k, a in enumerate(u.args, 1)
+                  if k not in hidden and not (k == i and name == fname))
     return out
 
 
@@ -130,13 +125,7 @@ def is_fi_redundant_var(
     at an already-redundant position, or under the i-th argument of an
     f-rooted subterm.  Vacuously true when x does not occur."""
     name = x if isinstance(x, str) else x.name
-    fname = f if isinstance(f, str) else f.name
-    occurrences = {
-        p for p in iter_positions(r) if isinstance(u := subterm(r, p), Var) and u.name == name
-    }
-    return not occurrences or occurrences <= redundant_positions(
-        r, {**known, fname: known.get(fname, frozenset()) | {i}}
-    )
+    return name not in _visible_vars(r, f if isinstance(f, str) else f.name, i, known)
 
 
 VARIABLE_GATES = ("left-linear", "constructor-system")
@@ -155,11 +144,10 @@ def _arg_vars_redundant(trs: Trs, fname: str, i: int, known: KnownMap) -> bool:
     (f,i)-redundant in its rhs: all that the variable case asks of a
     variable argument, and the part of the pattern case that depends
     on `known`."""
-    for rule in trs.rules_for(fname):
-        for v in sorted(vars_of(rule.lhs.args[i - 1]), key=lambda v: v.name):
-            if not is_fi_redundant_var(v, rule.rhs, fname, i, known):
-                return False
-    return True
+    return all(
+        var_names(rule.lhs.args[i - 1]).isdisjoint(_visible_vars(rule.rhs, fname, i, known))
+        for rule in trs.rules_for(fname)
+    )
 
 
 def variable_case(
@@ -195,15 +183,6 @@ def fi_triples(trs: Trs, f: FuncSymbol | str, i: int) -> list[FITriple]:
     return triples
 
 
-def minimal_positions(ps: Iterable[Position]) -> list[Position]:
-    ps = sorted(set(ps))
-    out: list[Position] = []
-    for p in ps:
-        if not any(is_prefix(q, p) and q != p for q in out):
-            out.append(p)
-    return out
-
-
 def tau_transform(
     r: Term,
     l: Term,
@@ -214,28 +193,28 @@ def tau_transform(
     """Plug the designated constant into the outermost i-th-argument
     positions of r that share variables with l's i-th argument.
 
-    Identity when l's i-th argument is a variable.
+    Identity when l's i-th argument is a variable.  One bottom-up pass:
+    each node carries its rebuilt term and whether the original subterm
+    holds a variable of l's i-th argument.  An f-node plugs on its
+    original argument, since an inner plug may have removed the
+    variable from the rebuilt one.
     """
     fname = f if isinstance(f, str) else f.name
     arg = l.args[i - 1]
     if isinstance(arg, Var):
         return r
-    pattern_vars = vars_of(arg)
-    if not pattern_vars:
-        q_positions: list[Position] = []
-    else:
-        q_positions = [
-            p
-            for p in pos_fi(r, fname, i)
-            if vars_of(subterm(r, p)) & pattern_vars
-        ]
-    out = r
-    for p in minimal_positions(q_positions):
-        sort = sort_of(subterm(out, p))
-        if sort not in constants:
-            raise NoGroundConstant(sort)
-        out = replace(out, p, constants[sort])
-    return out
+    pattern = var_names(arg)
+
+    def app(u: App, folded: tuple) -> tuple[Term, bool]:
+        args = [t for t, _ in folded]
+        if u.symbol.name == fname and folded[i - 1][1]:
+            sort = u.symbol.arg_sorts[i - 1]
+            if sort not in constants:
+                raise NoGroundConstant(sort)
+            args[i - 1] = constants[sort]
+        return App(u.symbol, tuple(args)), any(has for _, has in folded)
+
+    return fold(r, lambda v: (v, v.name in pattern), app)[0]
 
 
 def sigma_c(triple: FITriple, constants: dict[str, Term]) -> Substitution:

@@ -56,7 +56,7 @@ def _default_fuel() -> int:
 def _load(path: str) -> Trs:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WellFormednessError(f"cannot read {path}: {exc}")
     return parse_trs(text)
 
@@ -323,6 +323,10 @@ def cmd_bench(args) -> Report:
         expectations = json.loads(spec_path.read_text())
     except OSError as exc:
         raise WellFormednessError(f"cannot read {spec_path}: {exc}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WellFormednessError(f"{spec_path} is not JSON: {exc}")
+    if not isinstance(expectations, dict) or not isinstance(expectations.get("benchmarks"), list):
+        raise WellFormednessError(f'{spec_path} has no "benchmarks" list')
     suffix = expectations.get("suffix", "")
     rows = []
     lines = []
@@ -335,7 +339,7 @@ def cmd_bench(args) -> Report:
 
         rho = erasure_from_analysis(result.redundancy, trs)
         erased, _warnings = reduced_erasure(erase_trs(trs, rho, suffix))
-        expected_trs = parse_trs((root / entry["expected_erased"]).read_text())
+        expected_trs = _load(str(root / entry["expected_erased"]))
         erased_ok = rules_alpha_equal(erased.rules, expected_trs.rules) and (
             set(erased.symbols) == set(expected_trs.symbols))
 

@@ -143,16 +143,14 @@ def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> Trs:
     )
 
 
-def _unique_normal_form(
-    t: Term, trs: Trs, max_terms: int, max_steps: int
-) -> tuple[Term | None, str | None]:
+def _unique_normal_form(t: Term, trs: Trs) -> tuple[Term | None, str | None]:
     """Exhaustive bounded search for the unique normal form of t.
 
     Returns (nf, None) on success, else (None, reason).  Unlike plain
     normalization this explores every reduct, so a looping rule cannot
     hide an ambiguous result.
     """
-    reached, truncated = explore(t, trs, max_terms, max_steps)
+    reached, truncated = explore(t, trs, REDUCE_MAX_TERMS, REDUCE_MAX_STEPS)
     if truncated:
         return None, "fuel exhausted"
     normal_forms = [u for u, succs in reached.items() if not succs]
@@ -163,11 +161,7 @@ def _unique_normal_form(
     return normal_forms[0], None
 
 
-def reduced_erasure(
-    erased: Trs,
-    max_terms: int = REDUCE_MAX_TERMS,
-    max_steps: int = REDUCE_MAX_STEPS,
-) -> tuple[Trs, list[str]]:
+def reduced_erasure(erased: Trs) -> tuple[Trs, list[str]]:
     """Compress an erasure: drop trivial rules, normalize every
     remaining rhs, drop rules that became trivial, and deduplicate.
 
@@ -179,7 +173,7 @@ def reduced_erasure(
     working = replace(erased, rules=tuple(rules))
     new_rules: list[Rule] = []
     for rule in rules:
-        nf, reason = _unique_normal_form(rule.rhs, working, max_terms, max_steps)
+        nf, reason = _unique_normal_form(rule.rhs, working)
         if nf is None:
             return erased, [
                 f"{reason} while normalizing rhs of rule {rule.label} "

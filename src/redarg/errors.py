@@ -75,12 +75,7 @@ class NotAConstructorSystem(RedargError):
 
 
 class EmptySort(RedargError):
-    """Term enumeration was asked for a sort (None: any sort) with no
+    """Term enumeration was asked for a sort, or any sort, with no
     ground terms within the requested depth."""
 
     exit_code = 4
-
-    def __init__(self, sort: str | None, depth: int, message: str | None = None) -> None:
-        self.sort = sort
-        self.depth = depth
-        super().__init__(message or f"sort {sort} has no ground terms of depth <= {depth}")

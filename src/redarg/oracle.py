@@ -15,13 +15,7 @@ from typing import Optional, Union
 
 from .errors import EmptySort
 from .erasure import SyntacticErasure, erase_term, erase_trs
-from .rewrite import (
-    DEFAULT_FUEL,
-    DEFAULT_MAX_STEPS,
-    DEFAULT_MAX_TERMS,
-    bounded_semantics,
-    evaluate,
-)
+from .rewrite import DEFAULT_FUEL, bounded_semantics, evaluate
 from .terms import App, FuncSymbol, Sort, Substitution, Term, Var, fold, replace
 from .trs import Trs
 
@@ -76,7 +70,7 @@ def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> list[Term]:
     and declaration order within a depth level."""
     result = _ground_terms_by_sort(trs, depth)[0].get(sort)
     if not result:
-        raise EmptySort(sort, depth)
+        raise EmptySort(f"sort {sort} has no ground terms of depth <= {depth}")
     return result
 
 
@@ -115,8 +109,6 @@ class EnumBounds:
     ctx_depth: int = 3
     term_depth: int = 3
     max_cases: int = 50_000
-    max_terms: int = DEFAULT_MAX_TERMS
-    max_steps: int = DEFAULT_MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,7 @@ def brute_force_redundant(
         if s not in least or least[s][0] >= bounds.term_depth:
             why = (f"whose shallowest ground term has depth {least[s][0]}"
                    if s in least else "which has no ground terms")
-            raise EmptySort(s, bounds.term_depth - 1,
-                            f"--term-depth {bounds.term_depth} admits no {sym.name} "
+            raise EmptySort(f"--term-depth {bounds.term_depth} admits no {sym.name} "
                             f"term: argument {k} has sort {s}, {why}")
     contexts = enumerate_contexts(trs, sym.result_sort, bounds.ctx_depth)
     arg_pools = [
@@ -173,7 +164,7 @@ def brute_force_redundant(
     def seval_of(t: Term) -> tuple[frozenset[Term], bool]:
         hit = seval_cache.get(t)
         if hit is None:
-            sem = bounded_semantics(t, trs, bounds.max_terms, bounds.max_steps)
+            sem = bounded_semantics(t, trs)
             hit = (sem.seval, sem.truncated)
             seval_cache[t] = hit
         return hit
@@ -221,7 +212,7 @@ def random_ground_term(
     """
     least = trs.least_ground_terms
     if sort not in least or least[sort][0] > depth:
-        raise EmptySort(sort, depth)
+        raise EmptySort(f"sort {sort} has no ground terms of depth <= {depth}")
     roots = trs.ground_roots
     fits: dict[tuple[Sort, int], list[FuncSymbol]] = {}
     # draw the symbols in preorder; past the cap, a least ground term
@@ -305,7 +296,7 @@ def differential_verify(
         why = (f"the shallowest ground term of any sort has depth "
                f"{min(d for d, _ in least.values())}" if least
                else "the system has no ground terms")
-        raise EmptySort(None, depth, f"--depth {depth} admits no ground term: {why}")
+        raise EmptySort(f"--depth {depth} admits no ground term: {why}")
     agree = disagree = indeterminate = nonvalue = 0
     witnesses: list[Disagreement] = []
     for k in range(trials):

@@ -316,24 +316,6 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-def pos_fi(t: Term, f: FuncSymbol | str, i: int) -> set[Position]:
-    """{q.i | q in Pos(t), root(t|_q) = f}: the i-th-argument positions of
-    every f-rooted subterm.  f may be given by name."""
-    fname = f if isinstance(f, str) else f.name
-    if isinstance(f, FuncSymbol) and not 1 <= i <= f.arity:
-        raise ArityMismatch(f"index {i} out of range for {f.name}/{f.arity}")
-    out: set[Position] = set()
-    for q in iter_positions(t):
-        u = subterm(t, q)
-        if isinstance(u, App) and u.symbol.name == fname:
-            if not 1 <= i <= u.symbol.arity:
-                raise ArityMismatch(
-                    f"index {i} out of range for {u.symbol.name}/{u.symbol.arity}"
-                )
-            out.add(q + (i,))
-    return out
-
-
 class Substitution:
     """A finite, sort-preserving map from variable names to terms.
 

@@ -3,8 +3,8 @@
 Each test prints one [PASS]/[FAIL] line (shown with -s or -rA; `pytest
 -v` gives the same verdict through the test name) and asserts the same
 condition.  Criterion 6 runs the exhaustive oracle at its full default
-bounds and takes minutes, so it is marked slow (`-m "not slow"` skips
-it); everything else is fast.
+bounds and takes most of the tier-1 suite's ~35 s on a 2-core host, so
+it is marked slow (`-m "not slow"` skips it); everything else is fast.
 """
 
 import random

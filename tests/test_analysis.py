@@ -17,28 +17,11 @@ from redarg import (
     parse_term,
     parse_trs,
     pattern_case,
-    redundant_positions,
     variable_case,
 )
-from redarg.analysis import check_triple, minimal_positions, sigma_c, tau_transform
+from redarg.analysis import check_triple, sigma_c, tau_transform
 
 from conftest import CORPUS, load_corpus
-
-
-# --- redundant positions ----------------------------------------------------
-
-def test_redundant_positions_closure(applast):
-    t = parse_term("lastnew(S(x), cons(y, ys), z)", applast)
-    known = {"lastnew": frozenset({1})}
-    # everything at or below argument 1 of any lastnew node
-    assert redundant_positions(t, known) == {(1,), (1, 1)}
-    assert redundant_positions(t, {}) == set()
-
-
-def test_redundant_positions_nested(applast):
-    t = parse_term("lastnew(Z, xs, lastnew(Z, nil, z))", applast)
-    known = {"lastnew": frozenset({2})}
-    assert redundant_positions(t, known) == {(2,), (3, 2)}
 
 
 # --- per-variable test ------------------------------------------------------
@@ -54,6 +37,23 @@ def test_is_fi_redundant_var_under_own_argument(bogus):
 def test_is_fi_redundant_var_vacuous(bogus):
     rhs = bogus.rules[1].rhs  # just `a`
     assert is_fi_redundant_var("bogus", rhs, "loop", 2, {})
+
+
+@pytest.mark.parametrize("term, index, hidden, visible", [
+    # index 1: x at 1.1 and u at 3.1 are hidden, y at 2.1 is not
+    pytest.param("lastnew(S(x), cons(y, ys), lastnew(u, nil, z))", 1, ("x", "u"), "y",
+                 id="closure"),
+    # index 2: xs at 2 and ys at 3.2 are hidden, z at 3.3 is not
+    pytest.param("lastnew(Z, xs, lastnew(Z, ys, z))", 2, ("xs", "ys"), "z", id="nested"),
+])
+def test_is_fi_redundant_var_hidden_positions(applast, term, index, hidden, visible):
+    t = parse_term(term, applast)
+    # hidden alike when (lastnew, index) is known redundant and when it is (f,i)
+    for f, known in (("applast", {"lastnew": frozenset({index})}), ("lastnew", {})):
+        for name in hidden:
+            assert is_fi_redundant_var(name, t, f, index, known)
+        assert not is_fi_redundant_var(visible, t, f, index, known)
+    assert not any(is_fi_redundant_var(name, t, "applast", 1, {}) for name in hidden)
 
 
 def test_is_fi_redundant_var_known_positions(applast):
@@ -135,8 +135,25 @@ def test_tau_transform_outermost_only(applast):
     assert format_term(out) == "lastnew(y, nil, lastnew(x, nil, z))"
 
 
-def test_minimal_positions():
-    assert minimal_positions([(1, 2), (1,), (2,), (1, 2, 3)]) == [(1,), (2,)]
+NESTED = parse_trs("""
+sort Nat
+cons Z : Nat
+cons S : Nat -> Nat
+fun f : Nat Nat -> Nat
+rule f(x, Z) -> x
+rule f(x, S(y)) -> f(x, f(S(y), y))
+""")
+
+
+@pytest.mark.parametrize("rhs, expected", [
+    pytest.param("f(x, f(S(y), y))", "f(x, Z)", id="rule"),
+    pytest.param("f(f(x, f(x, y)), S(f(y, y)))", "f(f(x, Z), Z)", id="two-levels"),
+])
+def test_tau_transform_nested_positions(rhs, expected):
+    # the argument-2 positions nest: only the outermost is plugged
+    lhs = NESTED.rules[1].lhs
+    out = tau_transform(parse_term(rhs, NESTED), lhs, "f", 2, designated_constants(NESTED))
+    assert format_term(out) == expected
 
 
 def test_sigma_c_frozen_example(applast):

@@ -1,6 +1,7 @@
 """Command-line behavior: output text, exit codes, and JSON shape."""
 
 import json
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -273,6 +274,22 @@ def test_deep_rule_analyze_erase_verify(cli, tmp_path):
     assert out.splitlines()[1:3] == ["agree: 20", "disagree: 0"]
 
 
+def test_deep_nested_rule_analyze(cli, tmp_path):
+    # a right-hand side of 2,000 nested f's, each hiding y in argument 2
+    n = 2000
+    path = tmp_path / "nested.trs"
+    path.write_text(
+        "sort Nat\ncons Z : Nat\ncons S : Nat -> Nat\nfun f : Nat Nat -> Nat\n"
+        "pragma terminating\nrule f(x, Z) -> x\n"
+        "rule f(x, S(y)) -> " + "f(" * n + "x" + ", y)" * n + "\n"
+    )
+    t0 = time.perf_counter()
+    rc, out, err = cli("analyze", str(path))
+    elapsed = time.perf_counter() - t0
+    assert (rc, out, err) == (0, "f: {2} (pattern-case, round 1)\n", "")
+    assert elapsed < 2.0
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_clean(cli):
@@ -447,6 +464,23 @@ def test_bench_requires_expectations(cli, tmp_path):
     assert "expectations" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("{not json", "is not JSON: Expecting property name"),
+    ('{"suffix": "\'"}', 'has no "benchmarks" list'),
+    ("[]", 'has no "benchmarks" list'),
+    ('{"benchmarks": 3}', 'has no "benchmarks" list'),
+    ("\udcff", "is not JSON: 'utf-8' codec can't decode"),
+    ('{"benchmarks": [{"file": "bogus.trs", "expected_redundant": {}, '
+     '"expected_erased": "missing.trs"}]}', "cannot read "),
+])
+def test_bench_bad_expectations(cli, tmp_path, spec, message):
+    (tmp_path / "bogus.trs").write_text(Path(corpus_path("bogus.trs")).read_text())
+    (tmp_path / "expectations.json").write_bytes(spec.encode(errors="surrogateescape"))
+    rc, out, err = cli("bench", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 # --- plumbing ---------------------------------------------------------------
 
 def test_fuel_env_override(cli, monkeypatch):
@@ -487,6 +521,14 @@ def test_negative_numeric_values_exit_2(cli, monkeypatch, corpus_dir, command):
 def test_missing_file(cli):
     rc, _, err = cli("analyze", "corpus/does_not_exist.trs")
     assert rc == 2 and "cannot read" in err
+
+
+def test_file_not_utf8(cli, tmp_path):
+    path = tmp_path / "binary.trs"
+    path.write_bytes(b"\xff\xfe")
+    rc, out, err = cli("check", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
 
 def test_no_arguments_shows_usage(cli):

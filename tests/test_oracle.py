@@ -53,9 +53,9 @@ def test_enumerate_ground_terms_covers_defined_symbols(applast):
 
 
 def test_enumerate_ground_terms_empty(plus_minus):
-    with pytest.raises(EmptySort):
+    with pytest.raises(EmptySort, match=r"^sort Nat has no ground terms of depth <= 0$"):
         enumerate_ground_terms(plus_minus, "Nat", 0)
-    with pytest.raises(EmptySort):
+    with pytest.raises(EmptySort, match=r"^sort Missing has no ground terms of depth <= 3$"):
         enumerate_ground_terms(plus_minus, "Missing", 3)
 
 
@@ -189,7 +189,7 @@ def test_random_ground_term_stops_drawing_at_the_cap(bogus, monkeypatch):
 
 def test_random_ground_term_empty_sort():
     trs = load_corpus("negative/four_rules.trs")
-    with pytest.raises(EmptySort):
+    with pytest.raises(EmptySort, match=r"^sort AB has no ground terms of depth <= 0$"):
         random_ground_term(trs, "AB", 0, random.Random(0))
 
 

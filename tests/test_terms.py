@@ -19,7 +19,6 @@ from redarg import (
     is_ground,
     is_linear,
     match,
-    pos_fi,
     positions,
     replace,
     subterm,
@@ -215,22 +214,6 @@ def test_vars_linear_ground():
     assert is_ground(s(s(z)))
     assert not is_ground(s(x))
 
-
-def test_pos_fi_collects_argument_positions():
-    t = f(f(z, x), s(z))
-    assert pos_fi(t, F, 1) == {(1,), (1, 1)}
-    assert pos_fi(t, "f", 2) == {(2,), (1, 2)}
-    assert pos_fi(t, "g", 1) == set()
-
-
-def test_pos_fi_rejects_bad_index():
-    with pytest.raises(ArityMismatch):
-        pos_fi(f(z, z), F, 3)
-    with pytest.raises(ArityMismatch):
-        pos_fi(f(z, z), "f", 0)
-
-
-# --- substitution -----------------------------------------------------------
 
 def test_substitution_apply():
     sigma = Substitution({"x": s(z)})
