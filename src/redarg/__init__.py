@@ -63,7 +63,6 @@ from .rewrite import (
 from .analysis import (
     AnalysisResult,
     FITriple,
-    RedundancySet,
     analyze,
     fi_triples,
     is_fi_redundant_var,
@@ -73,11 +72,9 @@ from .analysis import (
     variable_case,
 )
 from .erasure import (
-    SyntacticErasure,
     erase_term,
     erase_trs,
-    erasure_from_analysis,
-    identity_erasure,
+    erasure_table,
     reduced_erasure,
 )
 from .oracle import (

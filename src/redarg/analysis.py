@@ -74,25 +74,10 @@ class Justification:
 
 
 @dataclass(frozen=True)
-class RedundancySet:
-    entries: dict[str, frozenset[int]]
-    justifications: dict[tuple[str, int], Justification]
-
-    def get(self, f: FuncSymbol | str) -> frozenset[int]:
-        name = f if isinstance(f, str) else f.name
-        return self.entries.get(name, frozenset())
-
-    def total_indices(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
-    def __contains__(self, fi: tuple[str, int]) -> bool:
-        name, i = fi
-        return i in self.entries.get(name, frozenset())
-
-
-@dataclass(frozen=True)
 class AnalysisResult:
-    redundancy: RedundancySet
+    # the argument indices proved redundant, by symbol name
+    redundant: KnownMap
+    justifications: dict[tuple[str, int], Justification]
     report: PropertyReport
     notes: tuple[str, ...]
     indeterminate: tuple[tuple[str, int], ...]
@@ -388,9 +373,9 @@ def analyze(
         trs.symbol_map[name].kind == "defined" for name in known
     ), "constructor symbol reported redundant"
 
-    redundancy = RedundancySet(entries=dict(known), justifications=justifications)
     return AnalysisResult(
-        redundancy=redundancy,
+        redundant=known,
+        justifications=justifications,
         report=report,
         notes=tuple(notes),
         indeterminate=tuple(sorted(indeterminate)),

@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .analysis import analyze
-from .erasure import SyntacticErasure, erasure_from_analysis, erase_trs, reduced_erasure
+from .erasure import erase_trs, reduced_erasure
 from .errors import RedargError, WellFormednessError
 from .oracle import Counterexample, EnumBounds, brute_force_redundant, differential_verify
-from .rewrite import DEFAULT_FUEL, evaluate
+from .rewrite import DEFAULT_FUEL, normalize
 from .terms import format_term, is_ground
 from .trs import Trs, build_property_report, format_trs, parse_term, parse_trs, rules_alpha_equal
 
@@ -134,13 +134,12 @@ def cmd_check(args) -> Report:
 def cmd_analyze(args) -> Report:
     trs = _load(args.file)
     result = analyze(trs, args.fuel)
-    red = result.redundancy
     lines: list[str] = []
     for f in trs.defined:
-        indices = sorted(red.get(f.name))
+        indices = sorted(result.redundant.get(f.name, ()))
         if not indices:
             continue
-        parts = [(j.method, j.round) for j in (red.justifications[(f.name, i)] for i in indices)]
+        parts = [(j.method, j.round) for j in (result.justifications[(f.name, i)] for i in indices)]
         if len(set(parts)) == 1:
             just = "{}, round {}".format(*parts[0])
         else:
@@ -151,7 +150,7 @@ def cmd_analyze(args) -> Report:
     lines += [f"note: {note}" for note in result.notes]
     lines += [f"indeterminate: ({f},{i}) ran out of fuel" for f, i in result.indeterminate]
     doc = {
-        "redundant": _index_sets(red.entries),
+        "redundant": _index_sets(result.redundant),
         "justifications": [
             {
                 "symbol": name,
@@ -168,7 +167,7 @@ def cmd_analyze(args) -> Report:
                     for ev in j.triples
                 ],
             }
-            for (name, i), j in sorted(red.justifications.items())
+            for (name, i), j in sorted(result.justifications.items())
         ],
         "notes": list(result.notes),
         "indeterminate": [list(x) for x in result.indeterminate],
@@ -180,8 +179,8 @@ def cmd_analyze(args) -> Report:
 # ---------------------------------------------------------------------------
 # erase
 
-def _parse_rho(specs: list[str], trs: Trs) -> SyntacticErasure:
-    rho = {f.name: frozenset() for f in trs.symbols}
+def _parse_rho(specs: list[str], trs: Trs) -> dict[str, frozenset[int]]:
+    rho: dict[str, frozenset[int]] = {}
     for spec in specs:
         name, colon, idx_text = spec.partition(":")
         if not colon:
@@ -192,23 +191,19 @@ def _parse_rho(specs: list[str], trs: Trs) -> SyntacticErasure:
             )
         except ValueError:
             raise WellFormednessError(f"bad indices in --rho value {spec!r}")
-        rho[name] |= indices
-    return SyntacticErasure(rho)
+        rho[name] = rho.get(name, frozenset()) | indices
+    return rho
 
 
 def cmd_erase(args) -> Report:
     trs = _load(args.file)
-    if args.rho:
-        rho = _parse_rho(args.rho, trs)
-    else:
-        result = analyze(trs, args.fuel)
-        rho = erasure_from_analysis(result.redundancy, trs)
+    rho = _parse_rho(args.rho, trs) if args.rho else analyze(trs, args.fuel).redundant
     erased, warnings = erase_trs(trs, rho, args.suffix), []
     if args.reduced:
         erased, warnings = reduced_erasure(erased)
     text = format_trs(erased)
     doc = {"reduced": bool(args.reduced), "suffix": args.suffix,
-           "redundant": _index_sets(rho.rho), "trs": text, "warnings": warnings}
+           "redundant": _index_sets(rho), "trs": text, "warnings": warnings}
     return 0, doc, text.splitlines()
 
 
@@ -221,8 +216,7 @@ def cmd_eval(args) -> Report:
     if not is_ground(term):
         raise WellFormednessError(f"eval goal must be ground, got {format_term(term)}")
     strategy = STRATEGY_ALIASES[args.strategy]
-    outcome = evaluate(term, trs, fuel=args.fuel, strategy=strategy,
-                       want_trace=args.trace)
+    outcome = normalize(term, trs, strategy, args.fuel, args.trace)
     doc = {
         "term": args.expr,
         "strategy": strategy,
@@ -246,8 +240,7 @@ COUNTS = ("agree", "disagree", "indeterminate", "nonvalue")
 
 def cmd_verify(args) -> Report:
     trs = _load(args.file)
-    result = analyze(trs, args.fuel)
-    rho = erasure_from_analysis(result.redundancy, trs)
+    rho = analyze(trs, args.fuel).redundant
     report = differential_verify(trs, rho, trials=args.trials, depth=args.depth,
                                  seed=args.seed, fuel=args.fuel, suffix=args.suffix)
     doc = {
@@ -330,20 +323,24 @@ def cmd_bench(args) -> Report:
     suffix = expectations.get("suffix", "")
     rows = []
     lines = []
+    keys = {"file", "expected_redundant", "expected_erased"}
     for entry in expectations["benchmarks"]:
+        if not isinstance(entry, dict) or not keys <= entry.keys():
+            raise WellFormednessError(
+                f'{spec_path}: benchmark entry {json.dumps(entry)} is not an object '
+                'with "file", "expected_redundant" and "expected_erased"')
         file = entry["file"]
         trs = _load(str(root / file))
         result = analyze(trs, args.fuel)
         expected = {k: sorted(v) for k, v in entry["expected_redundant"].items()}
-        redundant_ok = _index_sets(result.redundancy.entries) == expected
+        redundant_ok = _index_sets(result.redundant) == expected
 
-        rho = erasure_from_analysis(result.redundancy, trs)
-        erased, _warnings = reduced_erasure(erase_trs(trs, rho, suffix))
+        erased, _warnings = reduced_erasure(erase_trs(trs, result.redundant, suffix))
         expected_trs = _load(str(root / entry["expected_erased"]))
         erased_ok = rules_alpha_equal(erased.rules, expected_trs.rules) and (
             set(erased.symbols) == set(expected_trs.symbols))
 
-        count = result.redundancy.total_indices()
+        count = sum(map(len, result.redundant.values()))
         row = {
             "file": file,
             "status": "PASS" if redundant_ok and erased_ok else "FAIL",

@@ -10,7 +10,7 @@ unreduced system is returned with a warning rather than looping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .errors import WellFormednessError
 from .rewrite import explore
@@ -23,81 +23,65 @@ REDUCE_MAX_TERMS = 500
 REDUCE_MAX_STEPS = 2_000
 
 
-@dataclass(frozen=True)
-class SyntacticErasure:
-    """Per-symbol sets of argument positions to delete."""
-
-    rho: dict[str, frozenset[int]]
-
-    def of(self, f: FuncSymbol | str) -> frozenset[int]:
-        name = f if isinstance(f, str) else f.name
-        return self.rho.get(name, frozenset())
-
-    def surviving(self, f: FuncSymbol) -> tuple[int, ...]:
-        dropped = self.of(f)
-        return tuple(i for i in range(1, f.arity + 1) if i not in dropped)
-
-    def is_identity(self) -> bool:
-        return all(not v for v in self.rho.values())
+# each symbol's name -> its image and the 0-based indices of the
+# arguments it keeps
+ErasureTable = dict[str, tuple[FuncSymbol, tuple[int, ...]]]
 
 
-def identity_erasure(trs: Trs) -> SyntacticErasure:
-    return SyntacticErasure({f.name: frozenset() for f in trs.symbols})
+def erasure_table(
+    trs: Trs, rho: dict[str, frozenset[int]], suffix: str = ""
+) -> ErasureTable:
+    """The erasure that drops, from each symbol named in rho, the
+    1-based argument indices listed there, as an image per symbol of
+    trs.  A symbol that loses no argument is its own image; one that
+    loses some is renamed with the suffix."""
+    table: ErasureTable = {}
+    names: set[str] = set()
+    for f in trs.symbols:
+        dropped = rho.get(f.name, frozenset())
+        for i in dropped:
+            if not 1 <= i <= f.arity:
+                raise WellFormednessError(f"erasure index {i} out of range for {f.name}")
+        keep = tuple(k for k in range(f.arity) if k + 1 not in dropped)
+        g = f if not dropped else FuncSymbol(
+            f.name + suffix, tuple(f.arg_sorts[k] for k in keep), f.result_sort, f.kind
+        )
+        if g.name in names:
+            raise WellFormednessError(
+                f"erased symbol name {g.name} collides with another symbol"
+            )
+        names.add(g.name)
+        table[f.name] = (g, keep)
+    return table
 
 
-def erasure_from_analysis(redundancy, trs: Trs) -> SyntacticErasure:
-    """Erase exactly the argument positions the analysis proved
-    redundant; everything else is kept."""
-    rho = {f.name: frozenset() for f in trs.symbols}
-    for f in trs.defined:
-        found = redundancy.get(f.name)
-        if found:
-            bad = [i for i in found if not 1 <= i <= f.arity]
-            if bad:
-                raise WellFormednessError(
-                    f"erasure index {bad[0]} out of range for {f.name}"
-                )
-            rho[f.name] = frozenset(found)
-    return SyntacticErasure(rho)
-
-
-def erase_symbol(f: FuncSymbol, rho: SyntacticErasure, suffix: str = "") -> FuncSymbol:
-    dropped = rho.of(f)
-    if not dropped:
-        return f
-    survivors = rho.surviving(f)
-    return FuncSymbol(
-        name=f.name + suffix,
-        arg_sorts=tuple(f.arg_sorts[i - 1] for i in survivors),
-        result_sort=f.result_sort,
-        kind=f.kind,
-    )
-
-
-def erase_term(t: Term, rho: SyntacticErasure, suffix: str = "") -> Term:
+def erase_term(t: Term, table: ErasureTable) -> Term:
     """The homomorphic erasure: variables unchanged, erased argument
     positions dropped, surviving arguments kept in order.  Iterative and
     bottom-up like terms.fold, but it never enters an erased argument."""
-    # a pushed (symbol, n) builds a node from the last n results
+    # a pushed table entry builds its image from the last results
     done: list[Term] = []
     stack: list = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Var):
-            done.append(u)
-        elif isinstance(u, tuple):
-            symbol, n = u
+        if isinstance(u, tuple):
+            symbol, keep = u
+            n = len(keep)
             args = tuple(done[len(done) - n :])
             del done[len(done) - n :]
             done.append(App(symbol, args))
+        elif isinstance(u, Var) or not u.args:
+            # a variable or a constant is its own image
+            done.append(u)
         else:
-            keep = rho.surviving(u.symbol)
-            stack.append((erase_symbol(u.symbol, rho, suffix), len(keep)))
-            stack.extend(u.args[i - 1] for i in reversed(keep))
+            entry = table[u.symbol.name]
+            stack.append(entry)
+            args = u.args
+            stack.extend(args[k] for k in reversed(entry[1]))
     return done[0]
 
 
-def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> Trs:
+def erase_trs(trs: Trs, rho: dict[str, frozenset[int]], suffix: str = "") -> Trs:
     """Erase the signature and every rule.
 
     A rule l -> r becomes tau(l) -> sigma_l(tau(r)) where sigma_l
@@ -105,21 +89,11 @@ def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> Trs:
     that the erased lhs no longer binds.  Attestations are dropped:
     erasure does not preserve termination.
     """
-    new_symbols: list[FuncSymbol] = []
-    names: set[str] = set()
-    for f in trs.symbols:
-        g = erase_symbol(f, rho, suffix)
-        if g.name in names:
-            raise WellFormednessError(
-                f"erased symbol name {g.name} collides with another symbol"
-            )
-        new_symbols.append(g)
-        names.add(g.name)
-
+    table = erasure_table(trs, rho, suffix)
     new_rules: list[Rule] = []
     for rule in trs.rules:
-        lhs = erase_term(rule.lhs, rho, suffix)
-        rhs = erase_term(rule.rhs, rho, suffix)
+        lhs = erase_term(rule.lhs, table)
+        rhs = erase_term(rule.rhs, table)
         vanished = {v.name for v in vars_of(rule.lhs)} - {
             v.name for v in vars_of(lhs)
         }
@@ -128,7 +102,7 @@ def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> Trs:
         if needed:
             sigma = Substitution(
                 {
-                    v.name: erase_term(designated_constant(trs, v.sort), rho, suffix)
+                    v.name: erase_term(designated_constant(trs, v.sort), table)
                     for v in needed
                 }
             )
@@ -137,7 +111,7 @@ def erase_trs(trs: Trs, rho: SyntacticErasure, suffix: str = "") -> Trs:
 
     return Trs(
         sorts=trs.sorts,
-        symbols=tuple(new_symbols),
+        symbols=tuple(g for g, _ in table.values()),
         rules=tuple(new_rules),
         attestations=frozenset(),
     )

@@ -558,7 +558,7 @@ def check_confluence(
 
 
 def _find_uncovered(
-    arg_sorts: list[Sort],
+    sorts: list[Sort],
     rows: list[tuple[Term, ...]],
     constructors_by_sort: dict[Sort, list[FuncSymbol]],
     ground_rep: dict[Sort, Term],
@@ -569,47 +569,56 @@ def _find_uncovered(
     act as wildcards.  Case-splits on the first column's constructors
     in declaration order, so the first witness is deterministic.
     ground_rep supplies a ground term per realizable sort for witness
-    slots no row constrains.
+    slots no row constrains.  Iterative, so a wide symbol cannot
+    exhaust the recursion limit.
     """
-    if any(all(isinstance(p, Var) for p in row) for row in rows):
-        return None
-    if not rows:
-        return [ground_rep[s] for s in arg_sorts]
-    if not arg_sorts:
-        # no columns left and no all-wildcard row: nothing matches
-        return []
-    sort = arg_sorts[0]
-    if all(isinstance(row[0], Var) for row in rows):
-        # the whole column is wildcards: it cannot discriminate, and
-        # splitting a recursive constructor here would never bottom out
-        rec = _find_uncovered(
-            arg_sorts[1:], [row[1:] for row in rows], constructors_by_sort, ground_rep
-        )
-        if rec is None:
+
+    def cases(sorts, rows):
+        """The subproblems of a split on the first column, in order,
+        each with what turns its witness into one here: a sort whose
+        ground term goes in front, or a constructor over its first
+        arguments."""
+        sort = sorts[0]
+        if all(isinstance(row[0], Var) for row in rows):
+            # the whole column is wildcards: it cannot discriminate, and
+            # splitting a recursive constructor here would never bottom out
+            yield sort, sorts[1:], [row[1:] for row in rows]
+            return
+        for c in constructors_by_sort.get(sort, []):
+            if any(s not in ground_rep for s in c.arg_sorts):
+                # no ground instance can start with this constructor
+                continue
+            specialized: list[tuple[Term, ...]] = []
+            for row in rows:
+                p = row[0]
+                if isinstance(p, Var):
+                    specialized.append(tuple(Var("_", s) for s in c.arg_sorts) + row[1:])
+                elif p.symbol == c:
+                    specialized.append(p.args + row[1:])
+            yield c, list(c.arg_sorts) + sorts[1:], specialized
+
+    splits: list[list] = []  # per open split: its untried cases, the case tried
+    while True:
+        if not rows:
+            found = [ground_rep[s] for s in sorts]
+            break
+        # a row of wildcards matches everything left (with no columns
+        # left, every row is one)
+        if not any(all(isinstance(p, Var) for p in row) for row in rows):
+            splits.append([cases(sorts, rows), None])
+        # backtrack to the innermost split with a case left
+        while splits and (case := next(splits[-1][0], None)) is None:
+            splits.pop()
+        if not splits:
             return None
-        return [ground_rep[sort]] + rec
-    for c in constructors_by_sort.get(sort, []):
-        if any(s not in ground_rep for s in c.arg_sorts):
-            # no ground instance can start with this constructor
-            continue
-        specialized: list[tuple[Term, ...]] = []
-        for row in rows:
-            p = row[0]
-            if isinstance(p, Var):
-                wild = tuple(Var("_", s) for s in c.arg_sorts)
-                specialized.append(wild + row[1:])
-            elif p.symbol == c:
-                specialized.append(p.args + row[1:])
-        rec = _find_uncovered(
-            list(c.arg_sorts) + arg_sorts[1:],
-            specialized,
-            constructors_by_sort,
-            ground_rep,
-        )
-        if rec is not None:
-            k = c.arity
-            return [App(c, tuple(rec[:k]))] + rec[k:]
-    return None
+        splits[-1][1], sorts, rows = case
+    for _, wrap in reversed(splits):
+        if isinstance(wrap, FuncSymbol):
+            k = wrap.arity
+            found[:k] = [App(wrap, tuple(found[:k]))]
+        else:
+            found.insert(0, ground_rep[wrap])
+    return found
 
 
 def check_completely_defined(

@@ -13,13 +13,7 @@ import time
 import pytest
 
 from redarg.analysis import analyze, check_triple, fi_triples, sigma_c, tau_transform
-from redarg.erasure import (
-    SyntacticErasure,
-    erase_term,
-    erase_trs,
-    erasure_from_analysis,
-    reduced_erasure,
-)
+from redarg.erasure import erase_term, erase_trs, erasure_table, reduced_erasure
 from redarg.errors import PositionOutOfRange
 from redarg.oracle import (
     Counterexample,
@@ -80,7 +74,7 @@ def _verdict(n: int, detail: str, ok: bool) -> None:
 
 def _found(trs) -> dict[str, list[int]]:
     result = analyze(trs)
-    return {f: sorted(v) for f, v in result.redundancy.entries.items() if v}
+    return {f: sorted(v) for f, v in result.redundant.items() if v}
 
 
 def _signature(trs) -> set[tuple]:
@@ -88,7 +82,7 @@ def _signature(trs) -> set[tuple]:
 
 
 def _sound_rho(trs):
-    return erasure_from_analysis(analyze(trs).redundancy, trs)
+    return analyze(trs).redundant
 
 
 def test_criterion_01_corpus_detection():
@@ -151,7 +145,7 @@ def test_criterion_04_negative_gating():
     checks.append(_found(nonconfluent) == {"g": [1]})
     checks.append(all(
         j.method == "variable-case"
-        for j in result.redundancy.justifications.values()
+        for j in result.justifications.values()
     ))
     # the one claim the gated analyzer still makes must survive the oracle
     verdict = brute_force_redundant(nonconfluent, "g", 1,
@@ -159,13 +153,13 @@ def test_criterion_04_negative_gating():
     checks.append(isinstance(verdict, NoCounterexampleUpTo))
 
     partial = analyze(load_corpus("negative/partial.trs"))
-    checks.append(not partial.redundancy.entries)
+    checks.append(not partial.redundant)
     checks.append(any(
         "not completely defined (witness g(Z))" in n for n in partial.notes
     ))
 
     noncs = analyze(load_corpus("negative/noncs.trs"))
-    checks.append(not noncs.redundancy.entries)
+    checks.append(not noncs.redundant)
     checks.append(any(
         "not a constructor system (rule: g(f(b, x)) -> x)" in n
         for n in noncs.notes
@@ -184,7 +178,7 @@ def test_criterion_05_differential_verification():
     clean = all(d == 0 for d in disagreements.values())
 
     plus_minus = load_corpus("plus_minus.trs")
-    unsound = SyntacticErasure({"minus_pe": frozenset({2})})
+    unsound = {"minus_pe": frozenset({2})}
     rep = differential_verify(plus_minus, unsound, trials=200, depth=6,
                               seed=42, suffix="'")
     sensitive = rep.disagree >= 1 and len(rep.witnesses) > 0
@@ -351,15 +345,15 @@ def test_criterion_10_invariant_suites():
             for v in vars_of(t)
             if rng.random() < 0.7
         })
-        rho = SyntacticErasure({
+        table = erasure_table(applast, {
             "applast": frozenset(i for i in (1, 2) if rng.random() < 0.5),
             "lastnew": frozenset(i for i in (1, 2, 3) if rng.random() < 0.5),
-        })
-        lhs = erase_term(sigma.apply(t), rho, "'")
+        }, "'")
+        lhs = erase_term(sigma.apply(t), table)
         sigma_e = Substitution({
-            name: erase_term(s, rho, "'") for name, s in sigma.items()
+            name: erase_term(s, table) for name, s in sigma.items()
         })
-        if lhs != sigma_e.apply(erase_term(t, rho, "'")):
+        if lhs != sigma_e.apply(erase_term(t, table)):
             hom_failures += 1
 
     # confluence and left-linearity survive erasure on the whole corpus;
@@ -387,7 +381,7 @@ def test_criterion_10_invariant_suites():
 
     for stem in ("applast", "mutrec1", "plus_leq"):
         trs = load_corpus(f"{stem}.trs")
-        base = analyze(trs).redundancy.entries
+        base = analyze(trs).redundant
         candidates = [
             (f.name, i) for f in trs.defined for i in range(1, f.arity + 1)
         ]
@@ -395,13 +389,13 @@ def test_criterion_10_invariant_suites():
             srng = random.Random(seed)
             order = candidates[:]
             srng.shuffle(order)
-            if analyze(trs, candidate_order=order).redundancy.entries != base:
+            if analyze(trs, candidate_order=order).redundant != base:
                 det_ok = False
             rules = list(trs.rules)
             srng.shuffle(rules)
             shuffled = Trs(trs.sorts, trs.symbols, tuple(rules),
                            trs.attestations)
-            if analyze(shuffled).redundancy.entries != base:
+            if analyze(shuffled).redundant != base:
                 det_ok = False
 
     _verdict(10, f"substitution homomorphism ({hom_failures}/1000 failures), "

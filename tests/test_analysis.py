@@ -221,13 +221,13 @@ EXPECTATIONS = json.loads((CORPUS / "expectations.json").read_text())
 def test_analyze_corpus(entry):
     trs = load_corpus(entry["file"])
     result = analyze(trs)
-    found = {k: sorted(v) for k, v in result.redundancy.entries.items() if v}
+    found = {k: sorted(v) for k, v in result.redundant.items() if v}
     assert found == {k: sorted(v) for k, v in entry["expected_redundant"].items()}
 
 
 def test_analyze_justifications(applast):
     result = analyze(applast)
-    j = result.redundancy.justifications
+    j = result.justifications
     assert (j[("lastnew", 1)].method, j[("lastnew", 1)].round) == ("variable-case", 1)
     assert (j[("lastnew", 2)].method, j[("lastnew", 2)].round) == ("pattern-case", 2)
     assert (j[("applast", 1)].method, j[("applast", 1)].round) == ("pattern-case", 3)
@@ -240,7 +240,7 @@ def test_analyze_needs_knowledge_chain(applast):
     # (applast, 1) is only provable after (lastnew, 1) and (lastnew, 2);
     # test_analyze_justifications pins the rounds of the chain
     full = analyze(applast)
-    assert ("applast", 1) in full.redundancy
+    assert 1 in full.redundant["applast"]
 
 
 def accumulator_chain(m):
@@ -258,23 +258,23 @@ def accumulator_chain(m):
 def test_analyze_runs_to_the_fixpoint():
     trs = accumulator_chain(55)
     result = analyze(trs)
-    assert result.redundancy.entries == {f"c{j}": {2} for j in range(1, 56)}
+    assert result.redundant == {f"c{j}": {2} for j in range(1, 56)}
     assert result.rounds == 56  # one round per function plus the fixpoint round
 
 
 def test_analyze_notes_on_negatives(nonconfluent, partial, noncs):
     r1 = analyze(nonconfluent)
-    assert {k: sorted(v) for k, v in r1.redundancy.entries.items()} == {"g": [1]}
+    assert {k: sorted(v) for k, v in r1.redundant.items()} == {"g": [1]}
     assert all(j.method == "variable-case"
-               for j in r1.redundancy.justifications.values())
+               for j in r1.justifications.values())
     assert any("confluence = no (critical pair <Z, S(Z)>)" in n for n in r1.notes)
 
     r2 = analyze(partial)
-    assert r2.redundancy.entries == {}
+    assert r2.redundant == {}
     assert any("not completely defined (witness g(Z))" in n for n in r2.notes)
 
     r3 = analyze(noncs)
-    assert r3.redundancy.entries == {}
+    assert r3.redundant == {}
     assert any("not a constructor system (rule: g(f(b, x)) -> x)" in n
                for n in r3.notes)
 
@@ -282,25 +282,17 @@ def test_analyze_notes_on_negatives(nonconfluent, partial, noncs):
 def test_analyze_indeterminate_with_tiny_fuel(plus_minus):
     result = analyze(plus_minus, fuel=0)
     assert ("minus_pe", 1) in result.indeterminate
-    assert ("minus_pe", 1) not in result.redundancy
+    assert 1 not in result.redundant.get("minus_pe", ())
 
 
 def test_analyze_respects_candidate_order_without_changing_result(applast):
-    base = analyze(applast).redundancy.entries
+    base = analyze(applast).redundant
     reordered = analyze(
         applast,
         candidate_order=[("applast", 1), ("lastnew", 2), ("lastnew", 1),
                          ("applast", 2), ("lastnew", 3)],
     )
-    assert reordered.redundancy.entries == base
-
-
-def test_redundancy_set_accessors(applast):
-    red = analyze(applast).redundancy
-    assert red.get("lastnew") == frozenset({1, 2})
-    assert red.get("missing") == frozenset()
-    assert red.total_indices() == 3
-    assert ("applast", 1) in red and ("applast", 2) not in red
+    assert reordered.redundant == base
 
 
 def test_analyze_checks_the_triples_of_a_candidate_once(bogus, monkeypatch):
@@ -332,18 +324,18 @@ def test_analyze_agrees_with_variable_case(relpath):
     result = analyze(trs)
     if result.notes and "variable and pattern case disabled" in result.notes[0]:
         return
-    red = result.redundancy
-    for (fname, i), just in red.justifications.items():
+    justifications = result.justifications
+    for (fname, i), just in justifications.items():
         if just.method == "variable-case":
             before = {}
-            for (g, j), other in red.justifications.items():
+            for (g, j), other in justifications.items():
                 if other.round < just.round:
                     before[g] = before.get(g, frozenset()) | {j}
             assert variable_case(trs, fname, i, before)
     for f in trs.defined:
         for i in range(1, f.arity + 1):
-            if (f.name, i) not in red:
-                assert not variable_case(trs, f.name, i, red.entries)
+            if (f.name, i) not in justifications:
+                assert not variable_case(trs, f.name, i, result.redundant)
 
 
 def test_analyze_does_not_call_the_library_cases(bogus, plus_minus, monkeypatch):
@@ -354,5 +346,5 @@ def test_analyze_does_not_call_the_library_cases(bogus, plus_minus, monkeypatch)
 
     monkeypatch.setattr(analysis, "variable_case", fail)
     monkeypatch.setattr(analysis, "pattern_case", fail)
-    assert analyze(bogus).redundancy.entries == {"loop": frozenset({2})}
-    assert analyze(plus_minus).redundancy.entries == {"minus_pe": frozenset({1})}
+    assert analyze(bogus).redundant == {"loop": frozenset({2})}
+    assert analyze(plus_minus).redundant == {"minus_pe": frozenset({1})}

@@ -290,6 +290,21 @@ def test_deep_nested_rule_analyze(cli, tmp_path):
     assert elapsed < 2.0
 
 
+def test_wide_symbol_check(cli, tmp_path):
+    # the coverage check splits once per column of one 3,000-argument rule
+    n = 3000
+    path = tmp_path / "wide.trs"
+    path.write_text(
+        "sort Nat\ncons Z : Nat\ncons S : Nat -> Nat\n"
+        f"fun f : {' '.join(['Nat'] * n)} -> Nat\n"
+        f"rule f({', '.join(['Z'] * n)}) -> Z\n"
+    )
+    rc, out, err = cli("check", str(path))
+    assert rc == 0 and err == ""
+    witness = "f(" + "Z, " * (n - 1) + "S(Z))"
+    assert out.splitlines()[2] == f"completely defined: no (witness {witness})"
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_clean(cli):
@@ -472,6 +487,12 @@ def test_bench_requires_expectations(cli, tmp_path):
     ("\udcff", "is not JSON: 'utf-8' codec can't decode"),
     ('{"benchmarks": [{"file": "bogus.trs", "expected_redundant": {}, '
      '"expected_erased": "missing.trs"}]}', "cannot read "),
+    ('{"benchmarks": [{"file": "bogus.trs"}]}',
+     'benchmark entry {"file": "bogus.trs"} is not an object with "file", '
+     '"expected_redundant" and "expected_erased"'),
+    ('{"benchmarks": [{"file": "bogus.trs", "expected_redundant": {}}]}',
+     "is not an object with"),
+    ('{"benchmarks": [3]}', "benchmark entry 3 is not an object with"),
 ])
 def test_bench_bad_expectations(cli, tmp_path, spec, message):
     (tmp_path / "bogus.trs").write_text(Path(corpus_path("bogus.trs")).read_text())

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from redarg import (
     App,
-    SyntacticErasure,
     Var,
     WellFormednessError,
     analyze,
@@ -13,77 +12,48 @@ from redarg import (
     check_left_linear,
     erase_term,
     erase_trs,
-    erasure_from_analysis,
+    erasure_table,
     format_term,
     format_trs,
-    identity_erasure,
     parse_term,
     parse_trs,
     reduced_erasure,
     rules_alpha_equal,
 )
-from redarg.erasure import erase_symbol
-
 from conftest import load_corpus
-
-
-def rho_of(trs, **kwargs):
-    rho = {f.name: frozenset() for f in trs.symbols}
-    for name, indices in kwargs.items():
-        rho[name] = frozenset(indices)
-    return SyntacticErasure(rho)
 
 
 # --- the erasure map --------------------------------------------------------
 
-def test_surviving_and_identity(applast):
-    rho = rho_of(applast, lastnew={1, 2})
-    sym = applast.symbol_map["lastnew"]
-    assert rho.of("lastnew") == frozenset({1, 2})
-    assert rho.surviving(sym) == (3,)
-    assert not rho.is_identity()
-    assert identity_erasure(applast).is_identity()
-
-
-def test_erase_symbol(applast):
-    rho = rho_of(applast, lastnew={1, 2})
-    sym = applast.symbol_map["lastnew"]
-    g = erase_symbol(sym, rho, "'")
+def test_erasure_table(applast):
+    table = erasure_table(applast, {"lastnew": {1, 2}}, "'")
+    g, keep = table["lastnew"]
     assert (g.name, g.arg_sorts, g.result_sort, g.kind) == (
         "lastnew'", ("Nat",), "Nat", "defined"
     )
+    assert keep == (2,)
     # untouched symbols keep their identity, suffix included
-    assert erase_symbol(applast.symbol_map["S"], rho, "'") is applast.symbol_map["S"]
+    assert table["S"] == (applast.symbol_map["S"], (0,))
+    assert table["S"][0] is applast.symbol_map["S"]
+    assert table.keys() == applast.symbol_map.keys()
 
 
 def test_erase_term(applast):
-    rho = rho_of(applast, lastnew={1, 2})
+    table = erasure_table(applast, {"lastnew": {1, 2}}, "'")
     t = parse_term("lastnew(S(x), cons(Z, nil), lastnew(y, nil, z))", applast)
-    assert format_term(erase_term(t, rho, "'")) == "lastnew'(lastnew'(z))"
-    assert erase_term(Var("q", "Nat"), rho, "'") == Var("q", "Nat")
+    assert format_term(erase_term(t, table)) == "lastnew'(lastnew'(z))"
+    assert erase_term(Var("q", "Nat"), table) == Var("q", "Nat")
 
 
-def test_erasure_from_analysis(applast):
-    result = analyze(applast)
-    rho = erasure_from_analysis(result.redundancy, applast)
-    assert rho.of("applast") == frozenset({1})
-    assert rho.of("lastnew") == frozenset({1, 2})
-    assert rho.of("cons") == frozenset()
-
-
-def test_erasure_from_analysis_rejects_bad_index(applast):
-    class Fake:
-        def get(self, name):
-            return frozenset({9}) if name == "applast" else frozenset()
-
-    with pytest.raises(WellFormednessError):
-        erasure_from_analysis(Fake(), applast)
+def test_erasure_table_rejects_bad_index(applast):
+    with pytest.raises(WellFormednessError, match="erasure index 9 out of range for applast"):
+        erasure_table(applast, {"applast": {9}})
 
 
 # --- whole-system erasure ---------------------------------------------------
 
 def test_erase_trs_applast(applast):
-    rho = rho_of(applast, applast={1}, lastnew={1, 2})
+    rho = {"applast": {1}, "lastnew": {1, 2}}
     erased = erase_trs(applast, rho, "'")
     assert [str(r) for r in erased.rules] == [
         "applast'(z) -> z",
@@ -102,7 +72,7 @@ def test_erase_trs_plugs_unbound_variables():
         "rule f(x, y) -> g(x, y)\n"
         "rule g(x, y) -> y\n"
     )
-    rho = rho_of(trs, f={1})
+    rho = {"f": {1}}
     erased = erase_trs(trs, rho, "'")
     # x vanished from the lhs but g still wants it: designated constant
     assert str(erased.rules[0]) == "f'(y) -> g(Z, y)"
@@ -114,12 +84,12 @@ def test_erase_trs_name_collision():
         "sort N\ncons Z : N\nfun f : N -> N\nfun f' : N\n"
         "rule f(x) -> Z\n"
     )
-    with pytest.raises(WellFormednessError):
-        erase_trs(trs, rho_of(trs, f={1}), "'")
+    with pytest.raises(WellFormednessError, match="erased symbol name f' collides"):
+        erase_trs(trs, {"f": {1}}, "'")
 
 
 def test_erased_output_reparses(applast):
-    rho = rho_of(applast, applast={1}, lastnew={1, 2})
+    rho = {"applast": {1}, "lastnew": {1, 2}}
     erased = erase_trs(applast, rho, "'")
     again = parse_trs(format_trs(erased))
     assert again.rules == erased.rules
@@ -128,7 +98,7 @@ def test_erased_output_reparses(applast):
 # --- compression ------------------------------------------------------------
 
 def test_reduced_erasure_applast(applast):
-    rho = rho_of(applast, applast={1}, lastnew={1, 2})
+    rho = {"applast": {1}, "lastnew": {1, 2}}
     erased = erase_trs(applast, rho, "'")
     compressed, warnings = reduced_erasure(erased)
     assert warnings == []
@@ -142,7 +112,7 @@ def test_reduced_erasure_applast(applast):
 
 
 def test_reduced_erasure_identity_rho_keeps_rules(plus_minus):
-    erased = erase_trs(plus_minus, identity_erasure(plus_minus))
+    erased = erase_trs(plus_minus, {})
     compressed, warnings = reduced_erasure(erased)
     assert warnings == []
     # rhs y and minus_pe(x, y) are already in normal form
@@ -150,7 +120,7 @@ def test_reduced_erasure_identity_rho_keeps_rules(plus_minus):
 
 
 def test_reduced_erasure_aborts_on_loop(collapse):
-    rho = rho_of(collapse, h={1})
+    rho = {"h": {1}}
     erased = erase_trs(collapse, rho, "'")
     compressed, warnings = reduced_erasure(erased)
     assert len(warnings) == 1
@@ -174,7 +144,7 @@ def test_reduced_erasure_aborts_without_reachable_normal_form():
         "rule q -> p\n"
         "rule top(x) -> p\n"
     )
-    erased = erase_trs(trs, identity_erasure(trs))
+    erased = erase_trs(trs, {})
     compressed, warnings = reduced_erasure(erased)
     assert len(warnings) == 1
     assert warnings[0].startswith("no normal form reachable")
@@ -189,7 +159,7 @@ def test_reduced_erasure_aborts_on_ambiguous_normal_form():
         "rule pick -> S(Z)\n"
         "rule use(x) -> pick\n"
     )
-    erased = erase_trs(trs, identity_erasure(trs))
+    erased = erase_trs(trs, {})
     compressed, warnings = reduced_erasure(erased)
     assert len(warnings) == 1
     assert warnings[0].startswith("normal form not unique")
@@ -204,7 +174,7 @@ def test_reduced_erasure_aborts_on_ambiguous_normal_form():
 def test_reduced_erasure_matches_expected(name):
     trs = load_corpus(f"{name}.trs")
     expected = load_corpus(f"expected/{name}_reduced.trs")
-    rho = erasure_from_analysis(analyze(trs).redundancy, trs)
+    rho = analyze(trs).redundant
     compressed, warnings = reduced_erasure(erase_trs(trs, rho, "'"))
     assert warnings == []
     assert rules_alpha_equal(compressed.rules, expected.rules)
@@ -218,7 +188,7 @@ def test_reduced_erasure_matches_expected(name):
 )
 def test_erasure_preserves_left_linearity_and_confluence(name):
     trs = load_corpus(f"{name}.trs")
-    rho = erasure_from_analysis(analyze(trs).redundancy, trs)
+    rho = analyze(trs).redundant
     erased = erase_trs(trs, rho, "'")
     compressed, _ = reduced_erasure(erased)
     for system in (erased, compressed):
@@ -255,13 +225,13 @@ def applast_terms(with_vars):
     return level
 
 
-def random_rho(draw_booleans):
+def random_table(draw_booleans):
     rho = {}
     for f, flags in zip(APPLAST.symbols, draw_booleans):
         rho[f.name] = frozenset(
             i for i, keep in zip(range(1, f.arity + 1), flags) if keep
         )
-    return SyntacticErasure(rho)
+    return erasure_table(APPLAST, rho, "'")
 
 
 @given(
@@ -274,11 +244,11 @@ def random_rho(draw_booleans):
 def test_erase_term_is_a_homomorphism(t, nat_binding, list_binding, flags):
     from redarg import Substitution
 
-    rho = random_rho(flags)
+    table = random_table(flags)
     sigma = Substitution({"v1": nat_binding, "v2": list_binding})
     erased_sigma = Substitution(
-        {name: erase_term(b, rho, "'") for name, b in sigma.items()}
+        {name: erase_term(b, table) for name, b in sigma.items()}
     )
-    assert erase_term(sigma.apply(t), rho, "'") == erased_sigma.apply(
-        erase_term(t, rho, "'")
+    assert erase_term(sigma.apply(t), table) == erased_sigma.apply(
+        erase_term(t, table)
     )

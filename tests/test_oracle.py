@@ -10,13 +10,11 @@ from redarg import (
     EmptySort,
     EnumBounds,
     NoCounterexampleUpTo,
-    SyntacticErasure,
     analyze,
     brute_force_redundant,
     differential_verify,
     enumerate_contexts,
     enumerate_ground_terms,
-    erasure_from_analysis,
 )
 from redarg.oracle import HOLE_NAME, hole, plug, random_ground_term, term_depth
 from redarg.terms import Var, vars_of
@@ -196,7 +194,7 @@ def test_random_ground_term_empty_sort():
 # --- differential verification ----------------------------------------------
 
 def sound_rho(trs):
-    return erasure_from_analysis(analyze(trs).redundancy, trs)
+    return analyze(trs).redundant
 
 
 def test_differential_agrees_on_sound_erasure(applast):
@@ -208,9 +206,8 @@ def test_differential_agrees_on_sound_erasure(applast):
 
 
 def test_differential_catches_unsound_erasure(plus_minus):
-    rho = {f.name: frozenset() for f in plus_minus.symbols}
-    rho["minus_pe"] = frozenset({2})  # the live argument
-    rep = differential_verify(plus_minus, SyntacticErasure(rho), trials=200,
+    rho = {"minus_pe": frozenset({2})}  # the live argument
+    rep = differential_verify(plus_minus, rho, trials=200,
                               depth=6, seed=42, suffix="'")
     assert rep.disagree >= 1
     assert not rep.ok
@@ -227,9 +224,7 @@ def test_differential_is_seeded(applast):
 
 
 def test_differential_counts_nonvalues(partial):
-    from redarg import identity_erasure
-
-    rep = differential_verify(partial, identity_erasure(partial), trials=50,
+    rep = differential_verify(partial, {}, trials=50,
                               depth=5, seed=1)
     # g sticks on everything but S(Z), and the identity erasure changes
     # nothing, so runs split between agreement and stuck normal forms
