@@ -25,17 +25,25 @@ from conftest import load_corpus
 
 # --- the erasure map --------------------------------------------------------
 
-def test_erasure_table(applast):
+def test_surviving_and_identity(applast):
+    table = erasure_table(applast, {"lastnew": {1, 2}})
+    assert table["lastnew"][1] == (2,)
+    assert table.keys() == applast.symbol_map.keys()
+    # with nothing to drop, every symbol is its own image and keeps every argument
+    for name, (g, keep) in erasure_table(applast, {}).items():
+        f = applast.symbol_map[name]
+        assert g is f and keep == tuple(range(f.arity))
+
+
+def test_erase_symbol(applast):
     table = erasure_table(applast, {"lastnew": {1, 2}}, "'")
-    g, keep = table["lastnew"]
+    g = table["lastnew"][0]
     assert (g.name, g.arg_sorts, g.result_sort, g.kind) == (
         "lastnew'", ("Nat",), "Nat", "defined"
     )
-    assert keep == (2,)
     # untouched symbols keep their identity, suffix included
     assert table["S"] == (applast.symbol_map["S"], (0,))
     assert table["S"][0] is applast.symbol_map["S"]
-    assert table.keys() == applast.symbol_map.keys()
 
 
 def test_erase_term(applast):
