@@ -23,11 +23,8 @@ from .terms import (
     format_position,
     format_term,
     is_ground,
-    is_linear,
     match,
-    positions,
     replace,
-    sort_of,
     subterm,
     unify,
     unify_up_to_arg,
@@ -56,7 +53,6 @@ from .rewrite import (
     EvalOutcome,
     SemanticsResult,
     bounded_semantics,
-    evaluate,
     normalize,
     rewrite_step,
 )
@@ -65,7 +61,6 @@ from .analysis import (
     FITriple,
     analyze,
     fi_triples,
-    is_fi_redundant_var,
     pattern_case,
     sigma_c,
     tau_transform,

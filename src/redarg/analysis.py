@@ -103,16 +103,6 @@ def _visible_vars(r: Term, fname: str, i: int, known: KnownMap) -> set[str]:
     return out
 
 
-def is_fi_redundant_var(
-    x: Var | str, r: Term, f: FuncSymbol | str, i: int, known: KnownMap
-) -> bool:
-    """Whether every occurrence of x in r is invisible to evaluation:
-    at an already-redundant position, or under the i-th argument of an
-    f-rooted subterm.  Vacuously true when x does not occur."""
-    name = x if isinstance(x, str) else x.name
-    return name not in _visible_vars(r, f if isinstance(f, str) else f.name, i, known)
-
-
 VARIABLE_GATES = ("left-linear", "constructor-system")
 PATTERN_GATES = VARIABLE_GATES + ("confluent", "seval-defined")
 
@@ -137,24 +127,22 @@ def _arg_vars_redundant(trs: Trs, fname: str, i: int, known: KnownMap) -> bool:
 
 def variable_case(
     trs: Trs,
-    f: FuncSymbol | str,
+    fname: str,
     i: int,
     known: Optional[KnownMap] = None,
 ) -> bool:
     """True iff every rule of f binds argument i to a variable that is
     (f,i)-redundant in the rule's rhs.  Performs no rewriting."""
     _require(build_property_report(trs), VARIABLE_GATES)
-    fname = f if isinstance(f, str) else f.name
     return all(
         isinstance(rule.lhs.args[i - 1], Var) for rule in trs.rules_for(fname)
     ) and _arg_vars_redundant(trs, fname, i, known or {})
 
 
-def fi_triples(trs: Trs, f: FuncSymbol | str, i: int) -> list[FITriple]:
+def fi_triples(trs: Trs, fname: str, i: int) -> list[FITriple]:
     """All unordered pairs of distinct rules of f whose lhss unify up
     to argument i, in rule-index order; the second rule is renamed
     apart (clashing variables get primes)."""
-    fname = f if isinstance(f, str) else f.name
     rules = trs.rules_for(fname)
     sym = trs.symbol_map[fname]
     triples: list[FITriple] = []
@@ -171,7 +159,7 @@ def fi_triples(trs: Trs, f: FuncSymbol | str, i: int) -> list[FITriple]:
 def tau_transform(
     r: Term,
     l: Term,
-    f: FuncSymbol | str,
+    fname: str,
     i: int,
     constants: dict[str, Term],
 ) -> Term:
@@ -184,7 +172,6 @@ def tau_transform(
     original argument, since an inner plug may have removed the
     variable from the rebuilt one.
     """
-    fname = f if isinstance(f, str) else f.name
     arg = l.args[i - 1]
     if isinstance(arg, Var):
         return r
@@ -222,10 +209,10 @@ def check_triple(
 ) -> TripleEvidence:
     sc = sigma_c(triple, constants)
     left = sc.apply(
-        tau_transform(triple.rule1.rhs, triple.rule1.lhs, triple.f, triple.i, constants)
+        tau_transform(triple.rule1.rhs, triple.rule1.lhs, triple.f.name, triple.i, constants)
     )
     right = sc.apply(
-        tau_transform(triple.rule2.rhs, triple.rule2.lhs, triple.f, triple.i, constants)
+        tau_transform(triple.rule2.rhs, triple.rule2.lhs, triple.f.name, triple.i, constants)
     )
     j, common = join(left, right, trs, fuel=fuel)
     return TripleEvidence(triple=triple, left=left, right=right, joinable=j, common=common)
@@ -253,7 +240,7 @@ def _triple_verdict(
 
 def pattern_case(
     trs: Trs,
-    f: FuncSymbol | str,
+    fname: str,
     i: int,
     known: Optional[KnownMap] = None,
     fuel: int = DEFAULT_FUEL,
@@ -262,7 +249,6 @@ def pattern_case(
     ran out while joining a triple.  Also returns the checked triples.
     """
     _require(build_property_report(trs, fuel=fuel), PATTERN_GATES)
-    fname = f if isinstance(f, str) else f.name
     if not _arg_vars_redundant(trs, fname, i, known or {}):
         return False, ()
     return _triple_verdict(trs, fname, i, designated_constants(trs), fuel)

@@ -56,7 +56,7 @@ def _default_fuel() -> int:
 def _load(path: str) -> Trs:
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise WellFormednessError(f"cannot read {path}: {exc}")
     return parse_trs(text)
 
@@ -309,6 +309,18 @@ def cmd_oracle(args) -> Report:
 # ---------------------------------------------------------------------------
 # bench
 
+# what each key of a benchmark entry must hold
+ENTRY_SHAPES = {"file": "a file name", "expected_erased": "a file name",
+                "expected_redundant": "an object of lists of argument indices"}
+
+
+def _fits(key: str, value: object) -> bool:
+    if key != "expected_redundant":
+        return isinstance(value, str)
+    return isinstance(value, dict) and all(
+        isinstance(v, list) and all(type(i) is int for i in v) for v in value.values())
+
+
 def cmd_bench(args) -> Report:
     root = Path(args.dir)
     spec_path = root / "expectations.json"
@@ -321,14 +333,19 @@ def cmd_bench(args) -> Report:
     if not isinstance(expectations, dict) or not isinstance(expectations.get("benchmarks"), list):
         raise WellFormednessError(f'{spec_path} has no "benchmarks" list')
     suffix = expectations.get("suffix", "")
+    if not isinstance(suffix, str):
+        raise WellFormednessError(f'{spec_path}: "suffix" {json.dumps(suffix)} is not a string')
     rows = []
     lines = []
-    keys = {"file", "expected_redundant", "expected_erased"}
     for entry in expectations["benchmarks"]:
-        if not isinstance(entry, dict) or not keys <= entry.keys():
+        if not isinstance(entry, dict) or not ENTRY_SHAPES.keys() <= entry.keys():
             raise WellFormednessError(
                 f'{spec_path}: benchmark entry {json.dumps(entry)} is not an object '
                 'with "file", "expected_redundant" and "expected_erased"')
+        for key, shape in ENTRY_SHAPES.items():
+            if not _fits(key, entry[key]):
+                raise WellFormednessError(
+                    f'{spec_path}: benchmark entry {json.dumps(entry)}: "{key}" is not {shape}')
         file = entry["file"]
         trs = _load(str(root / file))
         result = analyze(trs, args.fuel)

@@ -134,14 +134,14 @@ Verdict = Union[NoCounterexampleUpTo, Counterexample]
 
 
 def brute_force_redundant(
-    trs: Trs, f: FuncSymbol | str, i: int, bounds: Optional[EnumBounds] = None
+    trs: Trs, fname: str, i: int, bounds: Optional[EnumBounds] = None
 ) -> Verdict:
     """Search for a context C, an f-rooted term t, and a replacement s
     whose bounded evaluation semantics differ between C[t] and
     C[t[s]_i].  First counterexample in enumeration order wins;
     truncated comparisons are skipped and counted."""
     bounds = bounds or EnumBounds()
-    sym = trs.symbol_map[f if isinstance(f, str) else f.name]
+    sym = trs.symbol_map[fname]
     # the subjects' arguments are one level below the term depth
     least = trs.least_ground_terms
     for k, s in enumerate(sym.arg_sorts, 1):

@@ -284,19 +284,6 @@ def join(
     return True, a.term
 
 
-def evaluate(
-    t: Term,
-    trs: "Trs",
-    fuel: int = DEFAULT_FUEL,
-    strategy: str = "leftmost-innermost",
-    want_trace: bool = False,
-) -> EvalOutcome:
-    """Normalize a ground term; Value iff the result is constructor-only."""
-    if not is_ground(t):
-        raise WellFormednessError(f"eval requires a ground term, got {format_term(t)}")
-    return normalize(t, trs, strategy, fuel, want_trace)
-
-
 def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
     """The one-step reducts of s, deduplicated, in position preorder and
     rule order within a position.  Siblings of the rewritten path are

@@ -19,8 +19,6 @@ Sort = str
 
 Position = tuple[int, ...]
 
-ROOT: Position = ()
-
 
 @dataclass(frozen=True)
 class FuncSymbol:
@@ -84,13 +82,13 @@ class App:
     """An application of a function symbol; hash-consed.
 
     App(symbol, args) returns the one live node with that symbol and
-    those arguments, so structural equality is identity and a comparison
-    never walks a term.  Arity and sorts are checked once, when a node
+    those arguments, so structural equality is identity: a node compares
+    and hashes as object does, and neither walks a term.  Arity and sorts are checked once, when a node
     is first built.  Nodes are immutable and weakly interned: a node
     nothing else refers to is dropped from the table.
     """
 
-    __slots__ = ("symbol", "args", "_hash", "__weakref__")
+    __slots__ = ("symbol", "args", "__weakref__")
 
     symbol: FuncSymbol
     args: tuple["Term", ...]
@@ -107,9 +105,6 @@ class App:
         setattr_(node, "symbol", symbol)
         setattr_(node, "args", args)
         node.__post_init__()
-        # the hash is structural, as before interning, so that the
-        # iteration order of term sets does not depend on identity
-        setattr_(node, "_hash", hash((symbol.name, args)))
         entry = _Entry(node, _drop)
         entry.key = key
         _interned[key] = entry
@@ -135,10 +130,6 @@ class App:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"App is immutable; cannot delete {name}")
 
-    # equality is identity (object's __eq__)
-    def __hash__(self) -> int:
-        return self._hash
-
     # copy.copy and unpickling rebuild through App(...), which finds the
     # node itself; a deep copy would walk the term, so it is the node too
     def __reduce__(self):
@@ -159,10 +150,6 @@ class App:
 
 
 Term = Union[Var, App]
-
-
-def sort_of(t: Term) -> Sort:
-    return t.sort
 
 
 T = TypeVar("T")
@@ -221,16 +208,6 @@ def format_position(p: Position) -> str:
     return "e" if not p else ".".join(str(i) for i in p)
 
 
-def is_prefix(p: Position, q: Position) -> bool:
-    """The prefix order on positions: p <= q."""
-    return len(p) <= len(q) and q[: len(p)] == p
-
-
-def parallel(p: Position, q: Position) -> bool:
-    """Disjointness: neither position is a prefix of the other."""
-    return not is_prefix(p, q) and not is_prefix(q, p)
-
-
 def iter_positions(t: Term, prefix: Position = ()) -> Iterator[Position]:
     """All tree addresses of t in preorder, root first; iterative."""
     stack = [(t, prefix)]
@@ -239,10 +216,6 @@ def iter_positions(t: Term, prefix: Position = ()) -> Iterator[Position]:
         yield p
         if isinstance(u, App):
             stack.extend((u.args[k - 1], p + (k,)) for k in range(len(u.args), 0, -1))
-
-
-def positions(t: Term) -> set[Position]:
-    return set(iter_positions(t))
 
 
 def subterm(t: Term, p: Position) -> Term:
@@ -261,8 +234,8 @@ def replace(t: Term, p: Position, s: Term) -> Term:
             raise PositionOutOfRange(f"position {format_position(p[k:])} not in term")
         path.append(t)
         t = t.args[i - 1]
-    if sort_of(s) != sort_of(t):
-        raise SortMismatch(f"cannot replace sort {sort_of(t)} subterm with sort {sort_of(s)}")
+    if s.sort != t.sort:
+        raise SortMismatch(f"cannot replace sort {t.sort} subterm with sort {s.sort}")
     for u, i in zip(reversed(path), reversed(p)):
         s = App(u.symbol, u.args[: i - 1] + (s,) + u.args[i:])
     return s
@@ -301,11 +274,6 @@ def repeated_variable(t: Term) -> Optional[str]:
     return None
 
 
-def is_linear(t: Term) -> bool:
-    """True iff no variable occurs twice in t."""
-    return repeated_variable(t) is None
-
-
 def is_ground(t: Term) -> bool:
     stack = [t]
     while stack:
@@ -328,10 +296,6 @@ class Substitution:
     def __init__(self, bindings: Mapping[str, Term] | None = None) -> None:
         self._map: dict[str, Term] = dict(bindings or {})
 
-    @classmethod
-    def of(cls, *pairs: tuple[Var, Term]) -> "Substitution":
-        return cls({v.name: t for v, t in pairs})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Substitution):
             return NotImplemented
@@ -352,17 +316,11 @@ class Substitution:
     def items(self) -> list[tuple[str, Term]]:
         return sorted(self._map.items())
 
-    def domain(self) -> set[str]:
-        return set(self._map)
-
     def extended(self, extra: Mapping[str, Term]) -> "Substitution":
         """A copy with `extra` bindings added, overriding on collision."""
         merged = dict(self._map)
         merged.update(extra)
         return Substitution(merged)
-
-    def restricted(self, names: set[str]) -> "Substitution":
-        return Substitution({n: t for n, t in self._map.items() if n in names})
 
     def apply(self, t: Term) -> Term:
         """The instance of t.  Iterative and bottom-up like fold, but with
@@ -423,7 +381,7 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
     while stack:
         p, u = stack.pop()
         if isinstance(p, Var):
-            if p.sort != sort_of(u):
+            if p.sort != u.sort:
                 return None
             prev = bindings.get(p.name)
             if prev is None:
@@ -483,11 +441,11 @@ def _unify_pairs(pairs: list[tuple[Term, Term]]) -> Optional[Substitution]:
             else:
                 bindings[b.name] = a
         elif isinstance(a, Var):
-            if a.sort != sort_of(b) or _occurs(a.name, b, bindings):
+            if a.sort != b.sort or _occurs(a.name, b, bindings):
                 return None
             bindings[a.name] = b
         elif isinstance(b, Var):
-            if b.sort != sort_of(a) or _occurs(b.name, a, bindings):
+            if b.sort != a.sort or _occurs(b.name, a, bindings):
                 return None
             bindings[b.name] = a
         else:

@@ -92,8 +92,8 @@ class Trs:
                 index.setdefault(r.lhs.symbol.name, []).append(r)
         return {name: tuple(rs) for name, rs in index.items()}
 
-    def rules_for(self, f: FuncSymbol | str) -> tuple[Rule, ...]:
-        return self.rules_by_root.get(f if isinstance(f, str) else f.name, ())
+    def rules_for(self, fname: str) -> tuple[Rule, ...]:
+        return self.rules_by_root.get(fname, ())
 
     @cached_property
     def reducts_memo(self) -> dict[Term, tuple[Term, ...]]:
@@ -371,7 +371,6 @@ def parse_trs(text: str) -> Trs:
     sort_set = set(sorts)
     symbols: dict[str, FuncSymbol] = {}
     order: list[str] = []
-    fun_names: set[str] = set()
     for keyword, name, arg_sorts, result_sort, lineno in decls:
         for s in arg_sorts + (result_sort,):
             if s not in sort_set:
@@ -381,8 +380,6 @@ def parse_trs(text: str) -> Trs:
         kind = "constructor" if keyword == "cons" else "defined"
         symbols[name] = FuncSymbol(name, arg_sorts, result_sort, kind)
         order.append(name)
-        if keyword == "fun":
-            fun_names.add(name)
 
     rules: list[Rule] = []
     for idx, (lhs_text, rhs_text, lineno) in enumerate(rule_texts, start=1):
@@ -646,7 +643,7 @@ def check_completely_defined(
             return False, None, (
                 f"{f.name}: argument sort {bad[0]} has no ground constructor terms"
             )
-        rows = [r.lhs.args for r in trs.rules_for(f)]
+        rows = [r.lhs.args for r in trs.rules_for(f.name)]
         witness_args = _find_uncovered(
             list(f.arg_sorts), rows, constructors_by_sort, ground_rep
         )

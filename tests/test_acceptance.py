@@ -23,14 +23,13 @@ from redarg.oracle import (
     differential_verify,
     random_ground_term,
 )
-from redarg.rewrite import bounded_semantics, evaluate, successors
+from redarg.rewrite import bounded_semantics, normalize, successors
 from redarg.terms import (
     App,
     Substitution,
     Var,
     iter_positions,
     replace,
-    sort_of,
     subterm,
     vars_of,
 )
@@ -276,13 +275,13 @@ def test_criterion_08_step_count_gains():
     original_steps = []
     for path, goal in ORIGINAL_GOALS:
         trs = load_corpus(path)
-        out = evaluate(parse_term(goal, trs), trs)
+        out = normalize(parse_term(goal, trs), trs)
         assert out.is_value
         original_steps.append(out.steps)
     erased_steps = []
     for path, goal in ERASED_GOALS:
         trs = load_corpus(path)
-        out = evaluate(parse_term(goal, trs), trs)
+        out = normalize(parse_term(goal, trs), trs)
         assert out.is_value
         erased_steps.append(out.steps)
     ok = (
@@ -320,7 +319,7 @@ def _random_open_term(trs, sort, rng, var_pool):
         if pos == () or rng.random() > 0.3:
             continue
         try:
-            s = sort_of(subterm(t, pos))
+            s = subterm(t, pos).sort
             t = replace(t, pos, rng.choice(var_pool[s]))
         except PositionOutOfRange:
             continue  # replacement shrank the term; stale position

@@ -13,30 +13,30 @@ from redarg import (
     designated_constants,
     fi_triples,
     format_term,
-    is_fi_redundant_var,
     parse_term,
     parse_trs,
     pattern_case,
     variable_case,
 )
-from redarg.analysis import check_triple, sigma_c, tau_transform
+from redarg.analysis import _visible_vars, check_triple, sigma_c, tau_transform
 
 from conftest import CORPUS, load_corpus
 
 
 # --- per-variable test ------------------------------------------------------
+# a variable is (f,i)-redundant in r iff it is not among r's visible variables
 
 def test_is_fi_redundant_var_under_own_argument(bogus):
     # loop(a, bogus, Z) -> loop(S(a), S(bogus), S(Z)): the second
     # argument's variable occurs only inside argument 2 of loop
     rhs = bogus.rules[0].rhs
-    assert is_fi_redundant_var("bogus", rhs, "loop", 2, {})
-    assert not is_fi_redundant_var("a", rhs, "loop", 2, {})
+    assert "bogus" not in _visible_vars(rhs, "loop", 2, {})
+    assert "a" in _visible_vars(rhs, "loop", 2, {})
 
 
 def test_is_fi_redundant_var_vacuous(bogus):
     rhs = bogus.rules[1].rhs  # just `a`
-    assert is_fi_redundant_var("bogus", rhs, "loop", 2, {})
+    assert "bogus" not in _visible_vars(rhs, "loop", 2, {})
 
 
 @pytest.mark.parametrize("term, index, hidden, visible", [
@@ -51,18 +51,17 @@ def test_is_fi_redundant_var_hidden_positions(applast, term, index, hidden, visi
     # hidden alike when (lastnew, index) is known redundant and when it is (f,i)
     for f, known in (("applast", {"lastnew": frozenset({index})}), ("lastnew", {})):
         for name in hidden:
-            assert is_fi_redundant_var(name, t, f, index, known)
-        assert not is_fi_redundant_var(visible, t, f, index, known)
-    assert not any(is_fi_redundant_var(name, t, "applast", 1, {}) for name in hidden)
+            assert name not in _visible_vars(t, f, index, known)
+        assert visible in _visible_vars(t, f, index, known)
+    assert all(name in _visible_vars(t, "applast", 1, {}) for name in hidden)
 
 
 def test_is_fi_redundant_var_known_positions(applast):
     rhs = parse_term("lastnew(x, xs, z)", applast)
     # without knowledge, x at argument 1 of lastnew blocks (applast, 1)
-    assert not is_fi_redundant_var("x", rhs, "applast", 1, {})
+    assert "x" in _visible_vars(rhs, "applast", 1, {})
     # once (lastnew, 1) is known redundant the occurrence is invisible
-    assert is_fi_redundant_var("x", rhs, "applast", 1,
-                               {"lastnew": frozenset({1})})
+    assert "x" not in _visible_vars(rhs, "applast", 1, {"lastnew": frozenset({1})})
 
 
 # --- variable case ----------------------------------------------------------

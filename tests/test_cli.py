@@ -493,6 +493,19 @@ def test_bench_requires_expectations(cli, tmp_path):
     ('{"benchmarks": [{"file": "bogus.trs", "expected_redundant": {}}]}',
      "is not an object with"),
     ('{"benchmarks": [3]}', "benchmark entry 3 is not an object with"),
+    ('{"benchmarks": [{"file": 3, "expected_redundant": {}, "expected_erased": "bogus.trs"}]}',
+     '"expected_erased": "bogus.trs"}: "file" is not a file name'),
+    ('{"benchmarks": [{"file": "bogus.trs", "expected_redundant": {}, "expected_erased": ["x"]}]}',
+     '"expected_erased": ["x"]}: "expected_erased" is not a file name'),
+    ('{"benchmarks": [{"file": "bogus.trs", "expected_redundant": [], "expected_erased": "bogus.trs"}]}',
+     '"expected_redundant" is not an object of lists of argument indices'),
+    ('{"benchmarks": [{"file": "bogus.trs", "expected_redundant": {"loop": 2}, '
+     '"expected_erased": "bogus.trs"}]}',
+     '"expected_redundant" is not an object of lists of argument indices'),
+    ('{"suffix": 3, "benchmarks": [{"file": "bogus.trs", "expected_redundant": {}, '
+     '"expected_erased": "bogus.trs"}]}', '"suffix" 3 is not a string'),
+    ('{"benchmarks": [{"file": "bogus\\u0000.trs", "expected_redundant": {}, '
+     '"expected_erased": "bogus.trs"}]}', "embedded null byte"),
 ])
 def test_bench_bad_expectations(cli, tmp_path, spec, message):
     (tmp_path / "bogus.trs").write_text(Path(corpus_path("bogus.trs")).read_text())

@@ -1,17 +1,18 @@
-"""Every imported name is used: a deletion that leaves an import behind
-fails here.  The package's __init__ is skipped, since its imports are
-its public names."""
+"""Every imported name is used, and every definition in the package is
+used: a deletion that leaves an import behind, or a function that no
+code calls, fails here.  The package's __init__ is skipped, since its
+imports are its public names."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from test_tracing import tracing
+
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    p for p in [*(ROOT / "src" / "redarg").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+SOURCES = sorted(p for p in (ROOT / "src" / "redarg").glob("*.py") if p.name != "__init__.py")
+FILES = SOURCES + sorted(p for p in (ROOT / "tests").glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +51,42 @@ def test_unused_imports_found():
         "def f(x: 'Optional[int]') -> None:\n    return os.sep\n"
     )
     assert unused_imports(source) == ["Union (line 3)", "osp (line 2)"]
+
+
+def unused_definitions(sources: list[str], keep: set[str]) -> list[str]:
+    """The module-level functions and classes, and the methods but
+    dunders, whose name no Name or Attribute of the sources uses, and
+    that keep does not list."""
+    defined: list[str] = []
+    used: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [d.name for d in node.body if isinstance(d, ast.FunctionDef)
+                            and not (d.name.startswith("__") and d.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(name for name in defined if name not in used | keep)
+
+
+def test_no_unused_definitions():
+    # the benchmark wraps these by name, so they stay even where only it calls them
+    traced = {func for _, func in tracing.SPANS + tracing.COUNTED}
+    assert unused_definitions([p.read_text() for p in SOURCES], traced) == []
+
+
+def test_unused_definitions_found():
+    source = (
+        "class A:\n    def __len__(self):\n        return 0\n"
+        "    def used(self):\n        return helper()\n    def unused(self):\n        pass\n"
+        "def helper():\n    return A().used\n"
+        "def dead():\n    pass\n"
+        "def traced():\n    pass\n"
+    )
+    assert unused_definitions([source], {"traced"}) == ["dead", "unused"]

@@ -17,16 +17,14 @@ from redarg import (
     format_position,
     format_term,
     is_ground,
-    is_linear,
     match,
-    positions,
     replace,
     subterm,
     unify,
     unify_up_to_arg,
     vars_of,
 )
-from redarg.terms import fold, is_prefix, iter_positions, parallel
+from redarg.terms import fold, iter_positions
 
 NAT = "Nat"
 Z = FuncSymbol("Z", (), NAT, "constructor")
@@ -163,12 +161,6 @@ def test_format_term():
 
 # --- positions --------------------------------------------------------------
 
-def test_positions_preorder():
-    t = f(s(z), x)
-    assert list(iter_positions(t)) == [(), (1,), (1, 1), (2,)]
-    assert positions(t) == {(), (1,), (1, 1), (2,)}
-
-
 def test_subterm_and_replace():
     t = f(s(z), x)
     assert subterm(t, ()) is t
@@ -197,20 +189,10 @@ def test_format_position():
     assert format_position((1, 2, 1)) == "1.2.1"
 
 
-def test_prefix_and_parallel():
-    assert is_prefix((), (1, 2))
-    assert is_prefix((1,), (1, 2))
-    assert not is_prefix((2,), (1, 2))
-    assert parallel((1,), (2,))
-    assert not parallel((1,), (1, 2))
-
-
 # --- variable bookkeeping ---------------------------------------------------
 
 def test_vars_linear_ground():
     assert vars_of(f(x, s(y))) == {x, y}
-    assert is_linear(f(x, y))
-    assert not is_linear(f(x, x))
     assert is_ground(s(s(z)))
     assert not is_ground(s(x))
 
@@ -235,11 +217,10 @@ def test_substitution_extended_restricted():
     tau = sigma.extended({"y": s(z)})
     assert tau.get("x") == z and tau.get("y") == s(z)
     assert sigma.get("y") is None
-    assert tau.restricted({"y"}).domain() == {"y"}
 
 
 def test_substitution_of_and_repr():
-    sigma = Substitution.of((x, z), (y, s(z)))
+    sigma = Substitution({"x": z, "y": s(z)})
     assert repr(sigma) == "{x -> Z, y -> S(Z)}"
 
 
