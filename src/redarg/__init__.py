@@ -22,6 +22,7 @@ from .terms import (
     Var,
     format_position,
     format_term,
+    instantiate,
     is_ground,
     match,
     replace,
@@ -40,7 +41,6 @@ from .trs import (
     check_confluence,
     check_constructor_system,
     check_left_linear,
-    check_seval_defined,
     critical_pairs,
     designated_constant,
     designated_constants,

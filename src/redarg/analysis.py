@@ -29,6 +29,7 @@ from .terms import (
     Term,
     Var,
     fold,
+    instantiate,
     unify_up_to_arg,
     var_names,
     vars_of,
@@ -198,7 +199,7 @@ def sigma_c(triple: FITriple, constants: dict[str, Term]) -> Substitution:
             if v.sort not in constants:
                 raise NoGroundConstant(v.sort)
             extra[v.name] = constants[v.sort]
-    return triple.sigma.extended(extra)
+    return {**triple.sigma, **extra}
 
 
 def check_triple(
@@ -208,11 +209,9 @@ def check_triple(
     fuel: int = DEFAULT_FUEL,
 ) -> TripleEvidence:
     sc = sigma_c(triple, constants)
-    left = sc.apply(
-        tau_transform(triple.rule1.rhs, triple.rule1.lhs, triple.f.name, triple.i, constants)
-    )
-    right = sc.apply(
-        tau_transform(triple.rule2.rhs, triple.rule2.lhs, triple.f.name, triple.i, constants)
+    left, right = (
+        instantiate(tau_transform(r.rhs, r.lhs, triple.f.name, triple.i, constants), sc)
+        for r in (triple.rule1, triple.rule2)
     )
     j, common = join(left, right, trs, fuel=fuel)
     return TripleEvidence(triple=triple, left=left, right=right, joinable=j, common=common)

@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from .errors import WellFormednessError
 from .rewrite import explore
-from .terms import App, FuncSymbol, Substitution, Term, Var, vars_of
-from .trs import Rule, Trs, canonical_rule, designated_constant
+from .terms import App, FuncSymbol, Term, Var, instantiate, vars_of
+from .trs import _IDENT, Rule, Trs, canonical_rule, designated_constant
 
 # caps for the unique-normal-form search during compression; small on
 # purpose so a looping right-hand side aborts quickly
@@ -46,6 +46,9 @@ def erasure_table(
         g = f if not dropped else FuncSymbol(
             f.name + suffix, tuple(f.arg_sorts[k] for k in keep), f.result_sort, f.kind
         )
+        if dropped and not _IDENT.fullmatch(g.name):
+            # the name must read back as a symbol of the .trs format
+            raise WellFormednessError(f"erased symbol name {g.name!r} is not an identifier")
         if g.name in names:
             raise WellFormednessError(
                 f"erased symbol name {g.name} collides with another symbol"
@@ -100,13 +103,9 @@ def erase_trs(trs: Trs, rho: dict[str, frozenset[int]], suffix: str = "") -> Trs
         needed = [v for v in sorted(vars_of(rhs), key=lambda v: v.name)
                   if v.name in vanished]
         if needed:
-            sigma = Substitution(
-                {
-                    v.name: erase_term(designated_constant(trs, v.sort), table)
-                    for v in needed
-                }
-            )
-            rhs = sigma.apply(rhs)
+            rhs = instantiate(rhs, {
+                v.name: erase_term(designated_constant(trs, v.sort), table) for v in needed
+            })
         new_rules.append(Rule(lhs, rhs, rule.label))
 
     return Trs(

@@ -16,7 +16,7 @@ from typing import Optional, Union
 from .errors import EmptySort
 from .erasure import erase_term, erase_trs, erasure_table
 from .rewrite import DEFAULT_FUEL, bounded_semantics, normalize
-from .terms import App, FuncSymbol, Sort, Substitution, Term, Var, fold, replace
+from .terms import App, FuncSymbol, Sort, Term, Var, instantiate, replace
 from .trs import Trs
 
 HOLE_NAME = "[]"
@@ -28,12 +28,7 @@ def hole(sort: Sort) -> Var:
 
 def plug(context: Term, t: Term) -> Term:
     """Fill the single hole of a context."""
-    return Substitution({HOLE_NAME: t}).apply(context)
-
-
-def term_depth(t: Term) -> int:
-    """Tree depth in node levels; the context hole counts as zero."""
-    return fold(t, lambda v: int(v.name != HOLE_NAME), lambda u, ds: 1 + max(ds, default=0))
+    return instantiate(context, {HOLE_NAME: t})
 
 
 def _ground_terms_by_sort(

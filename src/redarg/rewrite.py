@@ -22,6 +22,7 @@ from .terms import (
     Var,
     format_position,
     format_term,
+    instantiate,
     is_ground,
     match,
 )
@@ -110,7 +111,7 @@ def rewrite_step(
             hit = _match_at(s, index.get(s.symbol.name, ()))
             if hit is not None:
                 rule, sigma = hit
-                nxt = sigma.apply(rule.rhs)
+                nxt = instantiate(rule.rhs, sigma)
                 for u, i in reversed(path[:-1]):
                     nxt = App(u.symbol, u.args[: i - 1] + (nxt,) + u.args[i:])
                 return nxt, tuple(i for _, i in path[:-1]), rule
@@ -146,13 +147,13 @@ def _outcome(
 # args holds the normal forms of the template's first len(args)
 # arguments, and seen each node the frame tried the root rules on, with
 # the step count at that point.
-_NO_BINDINGS = Substitution()
+_NO_BINDINGS: Substitution = {}  # never mutated
 
 
 def _rebuild(stack: list[list], term: Term) -> Term:
     """The whole term, with term at the position of the top frame."""
     for tmpl, sigma, args, _ in reversed(stack[:-1]):
-        rest = tuple(sigma.apply(a) for a in tmpl.args[len(args) + 1 :])
+        rest = tuple(instantiate(a, sigma) for a in tmpl.args[len(args) + 1 :])
         term = App(tmpl.symbol, (*args, term, *rest))
     return term
 
@@ -191,8 +192,7 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
         if len(args) < len(targs):
             a = targs[len(args)]
             if isinstance(a, Var):
-                bound = sigma.get(a.name)
-                args.append(a if bound is None else bound)
+                args.append(sigma.get(a.name, a))
             else:
                 stack.append([a, sigma, [], []])
             continue
@@ -215,14 +215,14 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
                 rule, s = hit
                 steps += 1
                 if trace is not None:
-                    after = _rebuild(stack, s.apply(rule.rhs))
+                    after = _rebuild(stack, instantiate(rule.rhs, s))
                     position = tuple(len(f[2]) + 1 for f in stack[:-1])
                     trace.append(TraceStep(position, rule, last, after))
                     last = after
                 if isinstance(rule.rhs, App):
                     stack[-1] = [rule.rhs, s, [], seen]
                     continue
-                value = s.apply(rule.rhs)
+                value = instantiate(rule.rhs, s)
         if memo is not None:
             for n, k in seen:
                 memo[n] = (value, steps - k)
@@ -317,7 +317,7 @@ def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
         for rule in trs.rules_by_root.get(u.symbol.name, ()):
             sigma = match(rule.lhs, u)
             if sigma is not None:
-                res.append(sigma.apply(rule.rhs))
+                res.append(instantiate(rule.rhs, sigma))
         for i, a in enumerate(args):
             if a.__class__ is App:
                 for red in memo[a]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, TypeVar, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .errors import ArityMismatch, PositionOutOfRange, SortMismatch
 
@@ -284,79 +284,42 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-class Substitution:
-    """A finite, sort-preserving map from variable names to terms.
+# each variable's name -> the term it is bound to
+Substitution = dict[str, Term]
 
-    Application is homomorphic; sorts are checked when a variable is
-    actually replaced.
-    """
 
-    __slots__ = ("_map",)
-
-    def __init__(self, bindings: Mapping[str, Term] | None = None) -> None:
-        self._map: dict[str, Term] = dict(bindings or {})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
-
-    def get(self, name: str) -> Optional[Term]:
-        return self._map.get(name)
-
-    def items(self) -> list[tuple[str, Term]]:
-        return sorted(self._map.items())
-
-    def extended(self, extra: Mapping[str, Term]) -> "Substitution":
-        """A copy with `extra` bindings added, overriding on collision."""
-        merged = dict(self._map)
-        merged.update(extra)
-        return Substitution(merged)
-
-    def apply(self, t: Term) -> Term:
-        """The instance of t.  Iterative and bottom-up like fold, but with
-        no callback per node: this is the hottest walk of the oracle."""
-        bindings = self._map
-        if not bindings:
-            return t
-        done: list[Term] = []
-        stack: list = [t]
-        while stack:
+def instantiate(t: Term, sigma: Substitution) -> Term:
+    """The instance of t under sigma; a variable's binding is checked
+    for its sort when the variable is replaced.  Iterative and bottom-up
+    like fold, but with no callback per node: this is the hottest walk
+    of the oracle."""
+    if not sigma:
+        return t
+    done: list[Term] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if u is None:  # the arguments of the node below it are done
             u = stack.pop()
-            if u is None:  # the arguments of the node below it are done
-                u = stack.pop()
-                n = len(u.args)
-                args = tuple(done[-n:])
-                del done[-n:]
-                done.append(u if args == u.args else App(u.symbol, args))
-            elif u.__class__ is Var:
-                rep = bindings.get(u.name)
-                if rep is None:
-                    done.append(u)
-                elif rep.sort != u.sort:
-                    raise SortMismatch(
-                        f"binding for {u.name} has sort {rep.sort}, expected {u.sort}"
-                    )
-                else:
-                    done.append(rep)
-            elif u.args:
-                stack += (u, None, *reversed(u.args))
-            else:
+            n = len(u.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(u if args == u.args else App(u.symbol, args))
+        elif u.__class__ is Var:
+            rep = sigma.get(u.name)
+            if rep is None:
                 done.append(u)
-        return done[0]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n} -> {format_term(t)}" for n, t in self.items())
-        return "{" + inner + "}"
+            elif rep.sort != u.sort:
+                raise SortMismatch(
+                    f"binding for {u.name} has sort {rep.sort}, expected {u.sort}"
+                )
+            else:
+                done.append(rep)
+        elif u.args:
+            stack += (u, None, *reversed(u.args))
+        else:
+            done.append(u)
+    return done[0]
 
 
 def _var_key(name: str) -> tuple[str, int]:
@@ -394,7 +357,7 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
             ):
                 return None
             stack.extend(zip(p.args, u.args))
-    return Substitution(bindings)
+    return bindings
 
 
 def _walk(t: Term, bindings: dict[str, Term]) -> Term:
@@ -452,7 +415,7 @@ def _unify_pairs(pairs: list[tuple[Term, Term]]) -> Optional[Substitution]:
             if a.symbol != b.symbol:
                 return None
             stack.extend(zip(a.args, b.args))
-    return Substitution({n: _resolve(t, bindings) for n, t in bindings.items()})
+    return {n: _resolve(t, bindings) for n, t in bindings.items()}
 
 
 def unify(t: Term, s: Term) -> Optional[Substitution]:

@@ -26,11 +26,11 @@ from .terms import (
     FuncSymbol,
     Position,
     Sort,
-    Substitution,
     Term,
     Var,
     fold,
     format_term,
+    instantiate,
     iter_positions,
     repeated_variable,
     replace,
@@ -474,8 +474,7 @@ def _rename_apart(rule: Rule, avoid: set[str]) -> Rule:
         mapping[v.name] = Var(fresh, v.sort)
     if not mapping:
         return rule
-    ren = Substitution(mapping)
-    return Rule(ren.apply(rule.lhs), ren.apply(rule.rhs), rule.label)
+    return Rule(instantiate(rule.lhs, mapping), instantiate(rule.rhs, mapping), rule.label)
 
 
 def critical_pairs(trs: Trs) -> list[CriticalPair]:
@@ -510,8 +509,8 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
                 sigma = unify(sub, renamed.lhs)
                 if sigma is None:
                     continue
-                left = sigma.apply(replace(outer.lhs, p, renamed.rhs))
-                right = sigma.apply(outer.rhs)
+                left = instantiate(replace(outer.lhs, p, renamed.rhs), sigma)
+                right = instantiate(outer.rhs, sigma)
                 pairs.append(
                     CriticalPair(
                         left=left,
@@ -653,41 +652,25 @@ def check_completely_defined(
     return True, None, None
 
 
-def check_seval_defined(
-    trs: Trs,
-    completely_defined: Optional[tuple[bool, Optional[Term], Optional[str]]] = None,
-) -> tuple[bool, Optional[str]]:
-    """True iff the system is completely defined and attested
-    terminating; otherwise the failing conjunct is named.
-
-    completely_defined is the result of check_completely_defined, when
-    the caller has it already.
-    """
-    if not trs.terminating_attested:
-        return False, "termination not attested"
-    if completely_defined is None:
-        try:
-            completely_defined = check_completely_defined(trs)
-        except NotAConstructorSystem as exc:
-            return False, str(exc)
-    cd, witness, reason = completely_defined
-    if not cd:
-        detail = f" (witness {witness})" if witness is not None else f" ({reason})"
-        return False, "not completely defined" + detail
-    return True, None
-
-
 def build_property_report(trs: Trs, fuel: int = DEFAULT_FUEL) -> PropertyReport:
     ll, ll_witness = check_left_linear(trs)
     cs, cs_witness = check_constructor_system(trs)
     if cs:
-        completely_defined = check_completely_defined(trs)
-        cd, cd_witness, cd_reason = completely_defined
+        cd, cd_witness, cd_reason = check_completely_defined(trs)
     else:
-        completely_defined = None
         cd, cd_witness, cd_reason = False, None, "not a constructor system"
     confluent, confluence_witness = check_confluence(trs, fuel=fuel)
-    seval, seval_reason = check_seval_defined(trs, completely_defined)
+    # seval-defined: completely defined and attested terminating; the
+    # reason names the first failing conjunct
+    if not trs.terminating_attested:
+        seval_reason: Optional[str] = "termination not attested"
+    elif not cs:
+        seval_reason = f"not a constructor system (rule: {cs_witness})"
+    elif not cd:
+        detail = f"witness {cd_witness}" if cd_witness is not None else cd_reason
+        seval_reason = f"not completely defined ({detail})"
+    else:
+        seval_reason = None
     return PropertyReport(
         left_linear=ll,
         ll_witness=ll_witness,
@@ -698,7 +681,7 @@ def build_property_report(trs: Trs, fuel: int = DEFAULT_FUEL) -> PropertyReport:
         cd_reason=cd_reason,
         confluent=confluent,
         confluence_witness=confluence_witness,
-        seval_defined=seval,
+        seval_defined=seval_reason is None,
         seval_reason=seval_reason,
         terminating_attested=trs.terminating_attested,
     )

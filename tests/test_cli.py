@@ -146,6 +146,17 @@ def test_erase_output_file(cli, tmp_path):
     assert dest.read_text() == expected_text("applast")
 
 
+@pytest.mark.parametrize("command", ["erase", "verify"])
+def test_suffix_must_leave_a_symbol_name(cli, tmp_path, command):
+    # "applast(" would not parse back: refused before anything is written
+    dest = tmp_path / "erased.trs"
+    extra = ["-o", str(dest)] if command == "erase" else []
+    rc, out, err = cli(command, str(corpus_path("applast.trs")), "--suffix", "(", *extra)
+    assert (rc, out) == (2, "")
+    assert err == "error: erased symbol name 'applast(' is not an identifier\n"
+    assert not dest.exists()
+
+
 def test_erase_output_into_missing_directory(cli, tmp_path):
     dest = tmp_path / "missing" / "x.trs"
     rc, out, err = cli("erase", str(corpus_path("applast.trs")), "-o", str(dest))
@@ -504,6 +515,8 @@ def test_bench_requires_expectations(cli, tmp_path):
      '"expected_redundant" is not an object of lists of argument indices'),
     ('{"suffix": 3, "benchmarks": [{"file": "bogus.trs", "expected_redundant": {}, '
      '"expected_erased": "bogus.trs"}]}', '"suffix" 3 is not a string'),
+    ('{"suffix": "(", "benchmarks": [{"file": "bogus.trs", "expected_redundant": {}, '
+     '"expected_erased": "bogus.trs"}]}', "is not an identifier"),
     ('{"benchmarks": [{"file": "bogus\\u0000.trs", "expected_redundant": {}, '
      '"expected_erased": "bogus.trs"}]}', "embedded null byte"),
 ])

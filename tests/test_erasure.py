@@ -250,13 +250,11 @@ def random_table(draw_booleans):
              min_size=6, max_size=6),
 )
 def test_erase_term_is_a_homomorphism(t, nat_binding, list_binding, flags):
-    from redarg import Substitution
+    from redarg import instantiate
 
     table = random_table(flags)
-    sigma = Substitution({"v1": nat_binding, "v2": list_binding})
-    erased_sigma = Substitution(
-        {name: erase_term(b, table) for name, b in sigma.items()}
-    )
-    assert erase_term(sigma.apply(t), table) == erased_sigma.apply(
-        erase_term(t, table)
+    sigma = {"v1": nat_binding, "v2": list_binding}
+    erased_sigma = {name: erase_term(b, table) for name, b in sigma.items()}
+    assert erase_term(instantiate(t, sigma), table) == instantiate(
+        erase_term(t, table), erased_sigma
     )

@@ -54,25 +54,30 @@ def test_unused_imports_found():
 
 
 def unused_definitions(sources: list[str], keep: set[str]) -> list[str]:
-    """The module-level functions and classes, and the methods but
-    dunders, whose name no Name or Attribute of the sources uses, and
-    that keep does not list."""
+    """The module-level functions and classes whose name no Name of the
+    sources loads, and the methods but dunders whose name no loaded Name
+    or Attribute of the sources uses, that keep does not list.  An
+    attribute of the same name (say a field) does not keep a module-level
+    definition alive."""
     defined: list[str] = []
-    used: set[str] = set()
+    methods: list[str] = []
+    loaded: set[str] = set()
+    attributes: set[str] = set()
     for source in sources:
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append(node.name)
             if isinstance(node, ast.ClassDef):
-                defined += [d.name for d in node.body if isinstance(d, ast.FunctionDef)
+                methods += [d.name for d in node.body if isinstance(d, ast.FunctionDef)
                             and not (d.name.startswith("__") and d.name.endswith("__"))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return sorted(name for name in defined if name not in used | keep)
+                attributes.add(node.attr)
+    return sorted([name for name in defined if name not in loaded | keep]
+                  + [name for name in methods if name not in loaded | attributes | keep])
 
 
 def test_no_unused_definitions():
@@ -85,8 +90,10 @@ def test_unused_definitions_found():
     source = (
         "class A:\n    def __len__(self):\n        return 0\n"
         "    def used(self):\n        return helper()\n    def unused(self):\n        pass\n"
-        "def helper():\n    return A().used\n"
+        "def helper():\n    return A().used, A().depth\n"
         "def dead():\n    pass\n"
+        "def depth():\n    pass\n"
         "def traced():\n    pass\n"
     )
-    assert unused_definitions([source], {"traced"}) == ["dead", "unused"]
+    # depth is only read as an attribute of something else
+    assert unused_definitions([source], {"traced"}) == ["dead", "depth", "unused"]

@@ -16,12 +16,17 @@ from redarg import (
     enumerate_contexts,
     enumerate_ground_terms,
 )
-from redarg.oracle import HOLE_NAME, hole, plug, random_ground_term, term_depth
-from redarg.terms import Var, vars_of
+from redarg.oracle import HOLE_NAME, hole, plug, random_ground_term
+from redarg.terms import Var, fold, vars_of
 
 from conftest import load_corpus
 
 SMALL = EnumBounds(ctx_depth=2, term_depth=2)
+
+
+def term_depth(t):
+    """Tree depth in node levels; the context hole counts as zero."""
+    return fold(t, lambda v: int(v.name != HOLE_NAME), lambda u, ds: 1 + max(ds, default=0))
 
 
 # --- enumeration ------------------------------------------------------------

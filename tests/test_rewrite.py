@@ -9,6 +9,7 @@ from redarg import (
     Var,
     WellFormednessError,
     bounded_semantics,
+    instantiate,
     match,
     normalize,
     parse_term,
@@ -350,7 +351,7 @@ def reference_reducts(u, trs):
     for rule in trs.rules_for(u.symbol.name):
         sigma = match(rule.lhs, u)
         if sigma is not None:
-            res.append(sigma.apply(rule.rhs))
+            res.append(instantiate(rule.rhs, sigma))
     for i, a in enumerate(u.args):
         for red in reference_reducts(a, trs):
             res.append(App(u.symbol, u.args[:i] + (red,) + u.args[i + 1 :]))

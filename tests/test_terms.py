@@ -12,10 +12,10 @@ from redarg import (
     FuncSymbol,
     PositionOutOfRange,
     SortMismatch,
-    Substitution,
     Var,
     format_position,
     format_term,
+    instantiate,
     is_ground,
     match,
     replace,
@@ -122,7 +122,7 @@ def test_deep_terms_walk_without_recursion():
     bottom = (1,) * 3000
     assert sum(1 for _ in iter_positions(deep)) == 3001
     assert list(iter_positions(deep))[-1] == bottom
-    filled = Substitution({"x": z}).apply(deep)
+    filled = instantiate(deep, {"x": z})
     assert filled is replace(deep, bottom, z)
     assert subterm(filled, bottom) is z
     assert fold(filled, lambda v: 0, lambda u, ds: 1 + max(ds, default=0)) == 3001
@@ -198,30 +198,18 @@ def test_vars_linear_ground():
 
 
 def test_substitution_apply():
-    sigma = Substitution({"x": s(z)})
-    assert sigma.apply(f(x, y)) == f(s(z), y)
-    assert sigma.apply(z) == z
+    sigma = {"x": s(z)}
+    assert instantiate(f(x, y), sigma) == f(s(z), y)
+    assert instantiate(z, sigma) == z
 
 
 def test_substitution_sort_checked_on_use():
     B = FuncSymbol("b", (), "Bool", "constructor")
-    sigma = Substitution({"x": App(B)})
+    sigma = {"x": App(B)}
     with pytest.raises(SortMismatch):
-        sigma.apply(x)
+        instantiate(x, sigma)
     # a binding never used is never checked
-    assert sigma.apply(y) == y
-
-
-def test_substitution_extended_restricted():
-    sigma = Substitution({"x": z})
-    tau = sigma.extended({"y": s(z)})
-    assert tau.get("x") == z and tau.get("y") == s(z)
-    assert sigma.get("y") is None
-
-
-def test_substitution_of_and_repr():
-    sigma = Substitution({"x": z, "y": s(z)})
-    assert repr(sigma) == "{x -> Z, y -> S(Z)}"
+    assert instantiate(y, sigma) == y
 
 
 # --- matching ---------------------------------------------------------------
@@ -229,7 +217,7 @@ def test_substitution_of_and_repr():
 def test_match_simple():
     sigma = match(f(x, y), f(z, s(z)))
     assert sigma is not None
-    assert sigma.apply(f(x, y)) == f(z, s(z))
+    assert instantiate(f(x, y), sigma) == f(z, s(z))
 
 
 def test_match_nonlinear():
@@ -249,7 +237,7 @@ def test_match_failures():
 def test_unify_basic():
     sigma = unify(f(x, z), f(s(y), z))
     assert sigma is not None
-    assert sigma.apply(f(x, z)) == sigma.apply(f(s(y), z))
+    assert instantiate(f(x, z), sigma) == instantiate(f(s(y), z), sigma)
 
 
 def test_unify_occurs_check():
@@ -263,18 +251,18 @@ def test_unify_clash():
 def test_unify_orientation():
     # canonical tie-breaks: distinct names bind the later name to the
     # earlier, primed copies become the representative
-    assert dict(unify(x, y).items()) == {"y": x}
-    assert dict(unify(y, x).items()) == {"y": x}
+    assert unify(x, y) == {"y": x}
+    assert unify(y, x) == {"y": x}
     xp = Var("x'", NAT)
-    assert dict(unify(x, xp).items()) == {"x": xp}
-    assert dict(unify(xp, x).items()) == {"x": xp}
+    assert unify(x, xp) == {"x": xp}
+    assert unify(xp, x) == {"x": xp}
 
 
 def test_unify_idempotent():
     sigma = unify(f(x, s(y)), f(s(y), x))
     assert sigma is not None
-    t = sigma.apply(f(x, s(y)))
-    assert sigma.apply(t) == t
+    t = instantiate(f(x, s(y)), sigma)
+    assert instantiate(t, sigma) == t
 
 
 def test_unify_up_to_arg():
@@ -310,24 +298,23 @@ def nat_terms(max_leaves=4):
 def test_match_reflexive(t):
     sigma = match(t, t)
     assert sigma is not None
-    assert sigma.apply(t) == t
+    assert instantiate(t, sigma) == t
 
 
 @given(nat_terms(), st.dictionaries(st.sampled_from(["x", "y"]),
                                     nat_terms(max_leaves=3), max_size=2))
 def test_match_recovers_instance(t, binding):
-    sigma = Substitution(binding)
-    ground_side = sigma.apply(t)
+    ground_side = instantiate(t, binding)
     found = match(t, ground_side)
     assert found is not None
-    assert found.apply(t) == ground_side
+    assert instantiate(t, found) == ground_side
 
 
 @given(nat_terms(), nat_terms())
 def test_unify_produces_unifier(a, b):
     sigma = unify(a, b)
     if sigma is not None:
-        assert sigma.apply(a) == sigma.apply(b)
+        assert instantiate(a, sigma) == instantiate(b, sigma)
 
 
 @given(nat_terms())

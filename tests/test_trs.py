@@ -14,7 +14,6 @@ from redarg import (
     check_confluence,
     check_constructor_system,
     check_left_linear,
-    check_seval_defined,
     critical_pairs,
     designated_constant,
     designated_constants,
@@ -24,7 +23,7 @@ from redarg import (
     parse_trs,
     rules_alpha_equal,
 )
-from redarg.terms import iter_positions, replace, subterm, unify, var_names
+from redarg.terms import instantiate, iter_positions, replace, subterm, unify, var_names
 from redarg.trs import CriticalPair, _rename_apart, canonical_rule
 
 from conftest import CORPUS, load_corpus
@@ -293,8 +292,8 @@ def reference_critical_pairs(trs):
                 sigma = unify(sub, renamed.lhs)
                 if sigma is None:
                     continue
-                left = sigma.apply(replace(outer.lhs, p, renamed.rhs))
-                right = sigma.apply(outer.rhs)
+                left = instantiate(replace(outer.lhs, p, renamed.rhs), sigma)
+                right = instantiate(outer.rhs, sigma)
                 pairs.append(CriticalPair(
                     left, right, p == (), left == right, outer, inner, p))
     return pairs
@@ -393,11 +392,17 @@ def test_completely_defined_empty_arg_sort():
 
 
 def test_seval_defined(applast, partial, bogus):
-    assert check_seval_defined(applast) == (True, None)
-    ok, reason = check_seval_defined(partial)
+    def seval(trs):
+        report = build_property_report(trs)
+        return report.seval_defined, report.seval_reason
+
+    assert seval(applast) == (True, None)
+    ok, reason = seval(partial)
     assert not ok and reason == "not completely defined (witness g(Z))"
     no_pragma = parse_trs("sort N\ncons a : N\nfun f : N -> N\nrule f(x) -> a\n")
-    assert check_seval_defined(no_pragma) == (False, "termination not attested")
+    assert seval(no_pragma) == (False, "termination not attested")
+    noncs = parse_trs((CORPUS / "negative/noncs.trs").read_text() + "pragma terminating\n")
+    assert seval(noncs) == (False, "not a constructor system (rule: g(f(b, x)) -> x)")
 
 
 def test_property_report_checks_complete_definedness_once(applast, monkeypatch):
