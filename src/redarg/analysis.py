@@ -60,7 +60,6 @@ class FITriple:
 
 @dataclass(frozen=True)
 class TripleEvidence:
-    triple: FITriple
     left: Term
     right: Term
     joinable: Optional[bool]
@@ -79,7 +78,6 @@ class AnalysisResult:
     # the argument indices proved redundant, by symbol name
     redundant: KnownMap
     justifications: dict[tuple[str, int], Justification]
-    report: PropertyReport
     notes: tuple[str, ...]
     indeterminate: tuple[tuple[str, int], ...]
     rounds: int
@@ -214,7 +212,7 @@ def check_triple(
         for r in (triple.rule1, triple.rule2)
     )
     j, common = join(left, right, trs, fuel=fuel)
-    return TripleEvidence(triple=triple, left=left, right=right, joinable=j, common=common)
+    return TripleEvidence(left=left, right=right, joinable=j, common=common)
 
 
 PatternVerdict = tuple[Optional[bool], tuple[TripleEvidence, ...]]
@@ -361,7 +359,6 @@ def analyze(
     return AnalysisResult(
         redundant=known,
         justifications=justifications,
-        report=report,
         notes=tuple(notes),
         indeterminate=tuple(sorted(indeterminate)),
         rounds=rounds,

@@ -244,9 +244,9 @@ def cmd_verify(args) -> Report:
     report = differential_verify(trs, rho, trials=args.trials, depth=args.depth,
                                  seed=args.seed, fuel=args.fuel, suffix=args.suffix)
     doc = {
-        "trials": report.trials,
-        "depth": report.depth,
-        "seed": report.seed,
+        "trials": args.trials,
+        "depth": args.depth,
+        "seed": args.seed,
         **{k: getattr(report, k) for k in COUNTS},
         "witnesses": [
             {k: format_term(getattr(w, k)) for k in ("term", "original", "erased")}

@@ -108,8 +108,6 @@ class EnumBounds:
 
 @dataclass(frozen=True)
 class NoCounterexampleUpTo:
-    ctx_depth: int
-    term_depth: int
     cases_checked: int
     skipped_truncated: int
     # max_cases stopped the search before it covered the depths
@@ -172,9 +170,7 @@ def brute_force_redundant(
                 if s == t.args[i - 1]:
                     continue
                 if cases >= bounds.max_cases:
-                    return NoCounterexampleUpTo(
-                        bounds.ctx_depth, bounds.term_depth, cases, skipped, capped=True
-                    )
+                    return NoCounterexampleUpTo(cases, skipped, capped=True)
                 cases += 1
                 before_term = plug(context, t)
                 after_term = plug(context, replace(t, (i,), s))
@@ -185,7 +181,7 @@ def brute_force_redundant(
                     continue
                 if before != after:
                     return Counterexample(context, t, s, before, after)
-    return NoCounterexampleUpTo(bounds.ctx_depth, bounds.term_depth, cases, skipped)
+    return NoCounterexampleUpTo(cases, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +247,6 @@ class Disagreement:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    trials: int
-    depth: int
-    seed: int
     agree: int
     disagree: int
     indeterminate: int
@@ -314,9 +307,6 @@ def differential_verify(
             if len(witnesses) < 5:
                 witnesses.append(Disagreement(t, o1.term, o2.term))
     return VerifyReport(
-        trials=trials,
-        depth=depth,
-        seed=seed,
         agree=agree,
         disagree=disagree,
         indeterminate=indeterminate,

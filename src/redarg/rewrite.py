@@ -158,7 +158,7 @@ def _rebuild(stack: list[list], term: Term) -> Term:
     return term
 
 
-def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
+def _innermost(t: Term, trs: "Trs", fuel: int) -> EvalOutcome:
     """Leftmost-innermost normalization in one bottom-up pass.
 
     A frame's template is a subterm of the goal (no bindings) or of the
@@ -173,17 +173,14 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
     to (normal form, steps).  A hit stands for its steps only when they
     all fit in the fuel left; otherwise the node is rewritten as usual.
     When a frame's normal form is known, each node it built is stored.
-    With want_trace the memo is neither read nor written.  It is
-    cleared once it holds more than MEMO_CAP entries.
+    The memo is cleared once it holds more than MEMO_CAP entries.
     """
-    trace: Optional[list[TraceStep]] = [] if want_trace else None
     if isinstance(t, Var):
-        return _outcome(t, 0, trace)
+        return _outcome(t, 0, None)
     index = trs.rules_by_root
-    memo = None if want_trace else trs.normal_form_memo
-    if memo is not None and len(memo) > MEMO_CAP:
+    memo = trs.normal_form_memo
+    if len(memo) > MEMO_CAP:
         memo.clear()
-    last = t  # the whole term after the last step, for the trace
     steps = 0
     stack: list[list] = [[t, _NO_BINDINGS, [], []]]
     while True:
@@ -202,7 +199,7 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
             node = App(tmpl.symbol, tuple(args))
         value = node
         rules = index.get(tmpl.symbol.name)
-        found = memo.get(node) if rules and memo is not None else None
+        found = memo.get(node) if rules else None
         if found is not None and steps + found[1] <= fuel:
             value, k = found
             steps += k
@@ -211,24 +208,18 @@ def _innermost(t: Term, trs: "Trs", fuel: int, want_trace: bool) -> EvalOutcome:
             hit = _match_at(node, rules)
             if hit is not None:
                 if steps >= fuel:
-                    return _outcome(_rebuild(stack, node), steps, trace, exhausted=True)
+                    return _outcome(_rebuild(stack, node), steps, None, exhausted=True)
                 rule, s = hit
                 steps += 1
-                if trace is not None:
-                    after = _rebuild(stack, instantiate(rule.rhs, s))
-                    position = tuple(len(f[2]) + 1 for f in stack[:-1])
-                    trace.append(TraceStep(position, rule, last, after))
-                    last = after
                 if isinstance(rule.rhs, App):
                     stack[-1] = [rule.rhs, s, [], seen]
                     continue
                 value = instantiate(rule.rhs, s)
-        if memo is not None:
-            for n, k in seen:
-                memo[n] = (value, steps - k)
+        for n, k in seen:
+            memo[n] = (value, steps - k)
         stack.pop()
         if not stack:
-            return _outcome(value, steps, trace)
+            return _outcome(value, steps, None)
         stack[-1][2].append(value)
 
 
@@ -243,12 +234,13 @@ def normalize(
 
     A step is taken only while steps < fuel, so the step count is exact;
     with want_trace the outcome carries one TraceStep per step,
-    replayable to the final term.  Leftmost-innermost runs in one
-    bottom-up pass; leftmost-outermost calls rewrite_step from the root
-    on every step, since a step there can create a redex above itself.
+    replayable to the final term.  An untraced leftmost-innermost run
+    takes one bottom-up pass; every other run calls rewrite_step from
+    the root on every step, since an outermost step can create a redex
+    above itself, and each trace step prints the whole term anyway.
     """
-    if strategy == "leftmost-innermost":
-        return _innermost(t, trs, fuel, want_trace)
+    if strategy == "leftmost-innermost" and not want_trace:
+        return _innermost(t, trs, fuel)
     current = t
     steps = 0
     trace: Optional[list[TraceStep]] = [] if want_trace else None
@@ -284,8 +276,8 @@ def join(
     return True, a.term
 
 
-def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
-    """The one-step reducts of s, deduplicated, in position preorder and
+def successors(s: Term, trs: "Trs") -> tuple[Term, ...]:
+    """All one-step reducts of s, deduplicated, in position preorder and
     rule order within a position.  Siblings of the rewritten path are
     shared, not copied.
 
@@ -330,13 +322,7 @@ def _reducts(s: Term, trs: "Trs") -> tuple[Term, ...]:
     return found
 
 
-def successors(t: Term, trs: "Trs") -> list[Term]:
-    """All one-step reducts of t, deduplicated, in deterministic order
-    (position preorder, then rule order)."""
-    return list(_reducts(t, trs))
-
-
-Reached = dict[Term, Optional[list[Term]]]
+Reached = dict[Term, Optional[tuple[Term, ...]]]
 
 
 def explore(
@@ -380,14 +366,9 @@ def explore(
     return reached, truncated
 
 
-def bounded_semantics(
-    t: Term,
-    trs: "Trs",
-    max_terms: int = DEFAULT_MAX_TERMS,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> SemanticsResult:
-    """The derived term sets of the breadth-first closure (explore) of
-    a ground term.
+def bounded_semantics(t: Term, trs: "Trs") -> SemanticsResult:
+    """The derived term sets of the breadth-first closure (explore, at
+    its default caps) of a ground term.
 
     sred: every reachable term discovered within the caps.
     seval: sred restricted to constructor-ground terms.
@@ -400,11 +381,11 @@ def bounded_semantics(
         raise WellFormednessError(
             f"bounded_semantics requires a ground term, got {format_term(t)}"
         )
-    reached, truncated = explore(t, trs, max_terms, max_steps)
+    reached, truncated = explore(t, trs)
     sred = frozenset(reached)
     return SemanticsResult(
         sred=sred,
         seval=frozenset(u for u in sred if is_constructor_ground(u)),
-        snf=frozenset(u for u, succs in reached.items() if succs == []),
+        snf=frozenset(u for u, succs in reached.items() if succs == ()),
         truncated=truncated,
     )

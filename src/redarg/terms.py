@@ -208,9 +208,9 @@ def format_position(p: Position) -> str:
     return "e" if not p else ".".join(str(i) for i in p)
 
 
-def iter_positions(t: Term, prefix: Position = ()) -> Iterator[Position]:
+def iter_positions(t: Term) -> Iterator[Position]:
     """All tree addresses of t in preorder, root first; iterative."""
-    stack = [(t, prefix)]
+    stack: list[tuple[Term, Position]] = [(t, ())]
     while stack:
         u, p = stack.pop()
         yield p
@@ -378,12 +378,23 @@ def _occurs(name: str, t: Term, bindings: dict[str, Term]) -> bool:
     return False
 
 
-def _resolve(t: Term, bindings: dict[str, Term]) -> Term:
-    def var(v: Var) -> Term:
-        u = _walk(v, bindings)
-        return u if isinstance(u, Var) else _resolve(u, bindings)
-
-    return fold(t, var, lambda u, args: App(u.symbol, args))
+def _resolve(bindings: dict[str, Term]) -> Substitution:
+    """The idempotent form of triangular bindings, keys in the same
+    order.  Each binding is instantiated after the bound variables it
+    mentions, which the occurs check keeps acyclic; a stack orders them,
+    so a chain of any length resolves."""
+    done: Substitution = {}
+    stack = list(bindings)
+    while stack:
+        n = stack.pop()
+        if n in done:
+            continue
+        todo = [v.name for v in vars_of(bindings[n]) if v.name in bindings and v.name not in done]
+        if todo:
+            stack += (n, *todo)
+        else:
+            done[n] = instantiate(bindings[n], done)
+    return {n: done[n] for n in bindings}
 
 
 def _unify_pairs(pairs: list[tuple[Term, Term]]) -> Optional[Substitution]:
@@ -415,7 +426,7 @@ def _unify_pairs(pairs: list[tuple[Term, Term]]) -> Optional[Substitution]:
             if a.symbol != b.symbol:
                 return None
             stack.extend(zip(a.args, b.args))
-    return {n: _resolve(t, bindings) for n, t in bindings.items()}
+    return _resolve(bindings)
 
 
 def unify(t: Term, s: Term) -> Optional[Substitution]:

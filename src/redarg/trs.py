@@ -98,7 +98,8 @@ class Trs:
     @cached_property
     def reducts_memo(self) -> dict[Term, tuple[Term, ...]]:
         """The one-step reducts of each term expanded so far; filled,
-        and cleared at its cap, by rewrite._reducts."""
+        and cleared at its cap, by rewrite.successors, which returns
+        these tuples."""
         return {}
 
     @cached_property
@@ -139,8 +140,6 @@ class CriticalPair:
     right: Term
     overlay: bool
     trivial: bool
-    outer_rule: Rule
-    inner_rule: Rule
     position: Position
 
     def __str__(self) -> str:
@@ -290,13 +289,13 @@ def _read_term(
             open_apps.pop()
 
 
-def parse_term(text: str, trs: Trs, sort: Optional[Sort] = None) -> Term:
+def parse_term(text: str, trs: Trs) -> Term:
     """Parse a term string in a system's signature.
 
     Undeclared identifiers become variables; their sorts must be
     inferable from their positions.
     """
-    return _read_term(text, 0, trs.symbol_map, {}, sort)
+    return _read_term(text, 0, trs.symbol_map, {}, None)
 
 
 def _parse_signature_line(rest: str, line: int) -> tuple[str, tuple[str, ...], str]:
@@ -491,7 +490,7 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
         outer_vars = var_names(outer.lhs) | var_names(outer.rhs)
         subterms = [
             (p, sub)
-            for p in sorted(iter_positions(outer.lhs))
+            for p in iter_positions(outer.lhs)
             if isinstance(sub := subterm(outer.lhs, p), App)
         ]
         for inner_idx, inner in enumerate(trs.rules):
@@ -517,8 +516,6 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
                         right=right,
                         overlay=(p == ()),
                         trivial=(left == right),
-                        outer_rule=outer,
-                        inner_rule=inner,
                         position=p,
                     )
                 )

@@ -17,6 +17,17 @@ def expected_text(stem: str) -> str:
     return Path(corpus_path(f"expected/{stem}_reduced.trs")).read_text()
 
 
+def write_system(tmp_path, text: str) -> str:
+    path = tmp_path / "system.trs"
+    path.write_text(text)
+    return str(path)
+
+
+NAT = "sort Nat\ncons Z : Nat\ncons S : Nat -> Nat\n"
+# lists of E, a sort with no constructor: cons has no ground instance
+LIST_OF_E = "sort E\nsort L\ncons nil : L\ncons cons : E L -> L\nfun h : L Nat -> Nat\n"
+
+
 # --- analyze ----------------------------------------------------------------
 
 ANALYZE_GOLDEN = {
@@ -66,6 +77,17 @@ def test_analyze_negatives(cli, stem):
     assert out.splitlines() == NEGATIVE_GOLDEN[stem]
 
 
+def test_analyze_notes_a_skipped_pattern_case(cli, tmp_path):
+    path = write_system(tmp_path, NAT + LIST_OF_E + "pragma terminating\n"
+                        "rule h(nil, n) -> n\nrule h(cons(e, l), n) -> h(l, n)\n")
+    rc, out, err = cli("analyze", path)
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "no redundant arguments found",
+        "note: pattern case skipped for (h,1): sort E has no ground constructor term",
+    ]
+
+
 def test_analyze_json(cli):
     rc, out, _ = cli("analyze", str(corpus_path("applast.trs")), "--json")
     assert rc == 0
@@ -98,6 +120,41 @@ def test_check_reports_defects(cli):
     assert "completely defined: no (witness g(Z))" in out
     rc, out, _ = cli("check", str(corpus_path("negative/nonconfluent.trs")))
     assert "confluent: no (critical pair <Z, S(Z)>)" in out
+
+
+@pytest.mark.parametrize("rules, verdict", [
+    # the variable row splits the columns, and f(S(_), S(_)) escapes both rules
+    ("fun f : Nat Nat -> Nat\nrule f(Z, y) -> Z\nrule f(x, Z) -> Z\n",
+     "no (witness f(S(Z), S(Z)))"),
+    # a column of variables in front of the witness
+    ("fun g : Nat Nat -> Nat\nrule g(x, Z) -> Z\n", "no (witness g(Z, S(Z)))"),
+    (LIST_OF_E + "rule h(nil, n) -> n\n", "yes"),
+], ids=["variable-row", "variable-column", "no-ground-instance"])
+def test_check_coverage(cli, tmp_path, rules, verdict):
+    rc, out, err = cli("check", write_system(tmp_path, NAT + rules))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[2] == f"completely defined: {verdict}"
+
+
+def test_check_fuel_zero_leaves_confluence_unknown(cli, tmp_path):
+    # the critical pair <Z, g(Z)> joins in one step
+    path = write_system(tmp_path, NAT + "fun f : Nat -> Nat\nfun g : Nat -> Nat\n"
+                        "pragma terminating\nrule f(Z) -> Z\nrule f(x) -> g(x)\n"
+                        "rule g(x) -> Z\n")
+    assert cli("check", path)[1].splitlines()[3] == "confluent: yes-knuth-bendix"
+    assert cli("check", path, "--fuel", "0")[1].splitlines()[3] == "confluent: unknown"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("cons Z Nat", "expected ':' in declaration"),
+    ("cons 1z : Nat", "bad symbol name '1z'"),
+    ("cons Z :", "missing result sort"),
+    ("cons Z : Na-t", "bad sort name 'Na-t'"),
+    ("sort", "bad sort name ''"),
+])
+def test_check_signature_line_messages(cli, tmp_path, line, message):
+    rc, out, err = cli("check", write_system(tmp_path, f"sort Nat\n{line}\n"))
+    assert (rc, out, err) == (2, "", f"error: line 2: {message}\n")
 
 
 # --- erase ------------------------------------------------------------------
@@ -223,6 +280,12 @@ def test_eval_fuel_exhausted(cli):
     assert out == "fuel-exhausted loop(S(Z), S(Z), S(Z))\n"
 
 
+def test_eval_outermost_fuel_exhausted(cli, tmp_path):
+    path = write_system(tmp_path, NAT + "fun f : Nat -> Nat\nrule f(x) -> f(x)\n")
+    rc, out, err = cli("eval", path, "-e", "f(Z)", "--strategy", "lo", "--fuel", "3")
+    assert (rc, out, err) == (3, "fuel-exhausted f(Z)\n", "")
+
+
 def test_eval_rejects_open_goal(cli):
     rc, _, err = cli("eval", str(corpus_path("bogus.trs")), "-e", "loop(x, Z, Z)")
     assert rc == 2
@@ -314,6 +377,31 @@ def test_wide_symbol_check(cli, tmp_path):
     assert rc == 0 and err == ""
     witness = "f(" + "Z, " * (n - 1) + "S(Z))"
     assert out.splitlines()[2] == f"completely defined: no (witness {witness})"
+
+
+def chain_system(tmp_path, n: int = 400) -> str:
+    # the two left-hand sides unify, and their mgu binds x_k to S(y_k)
+    # and y_(k-1) to S(y_k): a chain n long
+    path = tmp_path / "chain.trs"
+    xs = ", ".join(f"x{k}" for k in range(1, n + 1))
+    path.write_text(
+        "sort Nat\ncons Z : Nat\ncons S : Nat -> Nat\n"
+        f"fun g : {' '.join(['Nat'] * (2 * n))} -> Nat\n"
+        f"rule g({xs}, {xs}) -> Z\n"
+        f"rule g({', '.join(f'S(y{k})' for k in range(1, n + 1))}, "
+        f"{', '.join(f'y{k}' for k in range(n))}) -> Z\n"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["analyze"], ["erase"], ["verify", "--trials", "5", "--depth", "2"],
+], ids=lambda argv: argv[0])
+def test_unifier_chain(cli, tmp_path, argv):
+    rc, out, err = cli(*argv, chain_system(tmp_path))
+    assert rc == 0 and err == ""
+    if argv[0] == "check":
+        assert out.splitlines()[3] == "confluent: unknown"
 
 
 # --- verify -----------------------------------------------------------------

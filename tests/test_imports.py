@@ -97,3 +97,78 @@ def test_unused_definitions_found():
     )
     # depth is only read as an attribute of something else
     assert unused_definitions([source], {"traced"}) == ["dead", "depth", "unused"]
+
+
+def recursive_functions(source: str) -> list[str]:
+    """The functions, nested ones included, in whose body something
+    calls the function by its name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        ):
+            found.append(node.name)
+    return sorted(found)
+
+
+def test_no_recursive_functions():
+    # a recursive walk fails on a deep enough term; every walk is iterative
+    assert [name for p in SOURCES for name in recursive_functions(p.read_text())] == []
+
+
+def test_recursive_functions_found():
+    source = (
+        "def down(n):\n    return n and down(n - 1)\n"
+        "def outer(t):\n    def inner(u):\n        return [inner(a) for a in u]\n"
+        "    return inner(t)\n"
+        "def via_closure(t):\n    def step(u):\n        return via_closure(u)\n"
+        "    return step\n"
+        "def flat(t):\n    return len(t)\n"
+    )
+    assert recursive_functions(source) == ["down", "inner", "via_closure"]
+
+
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+def write_only_fields(sources: list[str], readers: list[str]) -> list[str]:
+    """The fields of the dataclasses of the sources whose name no
+    attribute load and no string constant of the readers mentions; a
+    string covers a field read by getattr."""
+    fields = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_no_write_only_fields():
+    sources = [p.read_text() for p in (ROOT / "src" / "redarg").glob("*.py")]
+    assert write_only_fields(sources, [p.read_text() for p in READERS]) == []
+
+
+def test_write_only_fields_found():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    read: int\n    named: int\n    unread: int\n"
+        "@dataclass\nclass B:\n    kept: int\n    dropped: int = 0\n"
+        "class C:\n    plain: int\n"
+        "def use(a, b):\n    b.dropped = 1\n    return a.read, getattr(a, 'named'), b.kept\n"
+    )
+    # a store is not a read, and a class that is not a dataclass has no fields
+    assert write_only_fields([source], [source]) == ["A.unread", "B.dropped"]

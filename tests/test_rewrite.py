@@ -19,6 +19,7 @@ from redarg import (
 from redarg.oracle import random_ground_term
 from redarg.rewrite import (
     DEFAULT_FUEL,
+    DEFAULT_MAX_TERMS,
     TraceStep,
     explore,
     is_constructor_ground,
@@ -193,7 +194,6 @@ def test_innermost_normalize_never_rescans(plus_minus, monkeypatch):
     monkeypatch.setattr("redarg.rewrite.rewrite_step", no_rescan)
     goal = parse_term("minus_pe(S(S(Z)), minus_pe(S(Z), Z))", plus_minus)
     assert normalize(goal, plus_minus, fuel=2).exhausted
-    assert normalize(goal, plus_minus, want_trace=True).steps == 5
 
 
 # --- the normal-form memo -----------------------------------------------------
@@ -339,7 +339,7 @@ def test_successors_order_and_dedup(nonconfluent):
 
 
 def test_successors_empty_on_normal_form(applast):
-    assert successors(parse_term("S(Z)", applast), applast) == []
+    assert successors(parse_term("S(Z)", applast), applast) == ()
 
 
 def reference_reducts(u, trs):
@@ -367,7 +367,7 @@ def test_successors_agree_with_unmemoized_reducts(relpath):
         goal = random_term(trs, rng, open_term=k % 3 == 2)
         reached, _ = explore(goal, trs, max_terms=200)
         for u, succs in reached.items():
-            want = list(dict.fromkeys(reference_reducts(u, trs)))
+            want = tuple(dict.fromkeys(reference_reducts(u, trs)))
             assert successors(u, trs) == want
             assert succs is None or succs == want
             checked += 1
@@ -382,7 +382,7 @@ def test_reducts_memo_is_cleared_at_its_cap(monkeypatch):
     assert not truncated
     assert 0 < len(trs.reducts_memo) <= 5
     for u, succs in reached.items():
-        assert succs == list(dict.fromkeys(reference_reducts(u, trs)))
+        assert succs == tuple(dict.fromkeys(reference_reducts(u, trs)))
 
 
 # --- bounded semantics ------------------------------------------------------
@@ -408,10 +408,9 @@ def test_bounded_semantics_filtration(applast):
 
 
 def test_bounded_semantics_truncation():
-    sem = bounded_semantics(parse_term("w(Z)", LOOP), LOOP, max_terms=10)
+    sem = bounded_semantics(parse_term("w(Z)", LOOP), LOOP)
     assert sem.truncated
-    sem2 = bounded_semantics(parse_term("w(Z)", LOOP), LOOP, max_steps=10)
-    assert sem2.truncated
+    assert len(sem.sred) == DEFAULT_MAX_TERMS
 
 
 def test_explore_open_terms_and_caps():
@@ -442,6 +441,6 @@ def test_steps_and_reducts_of_deep_terms(plus_minus):
     for strategy in ("leftmost-innermost", "leftmost-outermost"):
         nxt, p, rule = rewrite_step(goal, plus_minus, strategy)
         assert (nxt, p, rule.label) == (expected, (1,) * depth, "r2")
-    assert successors(goal, plus_minus) == [expected]
+    assert successors(goal, plus_minus) == (expected,)
     outcome = normalize(goal, plus_minus, strategy="leftmost-outermost")
     assert outcome.kind == "value" and outcome.steps == 2

@@ -133,7 +133,6 @@ def test_deep_terms_walk_without_recursion():
 def test_iter_positions_preorder():
     t = f(s(x), f(z, y))
     assert list(iter_positions(t)) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
-    assert list(iter_positions(s(z), (2,))) == [(2,), (2, 1)]
 
 
 def test_fold_is_bottom_up_left_to_right():
@@ -263,6 +262,30 @@ def test_unify_idempotent():
     assert sigma is not None
     t = instantiate(f(x, s(y)), sigma)
     assert instantiate(t, sigma) == t
+
+
+def test_unify_long_chain():
+    # g(x1..xn, x1..xn) = g(S(y1)..S(yn), y0..y(n-1)) binds x_k to
+    # S(y_k) and y_(k-1) to S(y_k): the bindings form a chain n long
+    n = 2000
+    g = FuncSymbol("g", (NAT,) * (2 * n), NAT, "defined")
+    xs = [Var(f"x{k}", NAT) for k in range(1, n + 1)]
+    ys = [Var(f"y{k}", NAT) for k in range(n + 1)]
+    left = App(g, (*xs, *xs))
+    right = App(g, (*(s(v) for v in ys[1:]), *ys[:-1]))
+    sigma = unify(left, right)
+    assert sigma is not None
+    assert instantiate(left, sigma) is instantiate(right, sigma)
+    # idempotent: each binding is S^j(y_n), and y_n is not bound
+    towers = [ys[n]]
+    for _ in range(n):
+        towers.append(s(towers[-1]))
+    assert sigma == {**{f"x{k}": towers[n - k + 1] for k in range(1, n + 1)},
+                     **{f"y{k}": towers[n - k] for k in range(n)}}
+
+
+def test_unify_variables_of_different_sorts():
+    assert unify(x, Var("b", "Bool")) is None
 
 
 def test_unify_up_to_arg():
