@@ -26,7 +26,6 @@ from .terms import (
     is_ground,
     match,
     replace,
-    subterm,
     unify,
     unify_up_to_arg,
     vars_of,
@@ -42,8 +41,6 @@ from .trs import (
     check_constructor_system,
     check_left_linear,
     critical_pairs,
-    designated_constant,
-    designated_constants,
     format_trs,
     parse_term,
     parse_trs,

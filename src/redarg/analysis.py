@@ -40,7 +40,6 @@ from .trs import (
     Trs,
     _rename_apart,
     build_property_report,
-    designated_constants,
 )
 
 KnownMap = dict[str, frozenset[int]]
@@ -120,7 +119,7 @@ def _arg_vars_redundant(trs: Trs, fname: str, i: int, known: KnownMap) -> bool:
     on `known`."""
     return all(
         var_names(rule.lhs.args[i - 1]).isdisjoint(_visible_vars(rule.rhs, fname, i, known))
-        for rule in trs.rules_for(fname)
+        for rule in trs.rules_by_root.get(fname, ())
     )
 
 
@@ -134,7 +133,7 @@ def variable_case(
     (f,i)-redundant in the rule's rhs.  Performs no rewriting."""
     _require(build_property_report(trs), VARIABLE_GATES)
     return all(
-        isinstance(rule.lhs.args[i - 1], Var) for rule in trs.rules_for(fname)
+        isinstance(rule.lhs.args[i - 1], Var) for rule in trs.rules_by_root.get(fname, ())
     ) and _arg_vars_redundant(trs, fname, i, known or {})
 
 
@@ -142,7 +141,7 @@ def fi_triples(trs: Trs, fname: str, i: int) -> list[FITriple]:
     """All unordered pairs of distinct rules of f whose lhss unify up
     to argument i, in rule-index order; the second rule is renamed
     apart (clashing variables get primes)."""
-    rules = trs.rules_for(fname)
+    rules = trs.rules_by_root.get(fname, ())
     sym = trs.symbol_map[fname]
     triples: list[FITriple] = []
     for j in range(len(rules)):
@@ -248,7 +247,7 @@ def pattern_case(
     _require(build_property_report(trs, fuel=fuel), PATTERN_GATES)
     if not _arg_vars_redundant(trs, fname, i, known or {}):
         return False, ()
-    return _triple_verdict(trs, fname, i, designated_constants(trs), fuel)
+    return _triple_verdict(trs, fname, i, trs.designated_constants, fuel)
 
 
 def _gating_notes(report: PropertyReport) -> tuple[list[str], bool, bool]:
@@ -304,9 +303,9 @@ def analyze(
         (fname, i)
         for fname, i in candidates
         if var_ok
-        and all(isinstance(r.lhs.args[i - 1], Var) for r in trs.rules_for(fname))
+        and all(isinstance(r.lhs.args[i - 1], Var) for r in trs.rules_by_root.get(fname, ()))
     }
-    constants = designated_constants(trs)
+    constants = trs.designated_constants
     verdicts: dict[tuple[str, int], PatternVerdict | NoGroundConstant] = {}
     known: KnownMap = {}
     justifications: dict[tuple[str, int], Justification] = {}

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
@@ -41,16 +40,6 @@ def _count(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
-
-
-def _default_fuel() -> int:
-    env = os.environ.get("REDARG_FUEL")
-    if env is None:
-        return DEFAULT_FUEL
-    try:
-        return _count(env)
-    except argparse.ArgumentTypeError as exc:
-        raise WellFormednessError(f"REDARG_FUEL is {exc}")
 
 
 def _load(path: str) -> Trs:
@@ -93,7 +82,8 @@ Report = tuple[int, dict, list[str]]
 # check
 
 def cmd_check(args) -> Report:
-    report = build_property_report(_load(args.file), fuel=args.fuel)
+    trs = _load(args.file)
+    report = build_property_report(trs, fuel=args.fuel)
     failed = report.failed_gates
 
     def gate(label: str, name: str) -> str:
@@ -111,14 +101,15 @@ def cmd_check(args) -> Report:
         f"completely defined: {defined}",
         f"confluent: {failed.get('confluent', report.confluent)}",
         gate("seval-defined", "seval-defined"),
-        "terminating attested: " + ("yes" if report.terminating_attested else "no"),
+        "terminating attested: " + ("yes" if trs.terminating_attested else "no"),
     ]
     witness = report.confluence_witness
     properties = {
         k: getattr(report, k)
         for k in ("left_linear", "constructor_system", "completely_defined", "cd_reason",
-                  "confluent", "seval_defined", "seval_reason", "terminating_attested")
+                  "confluent", "seval_defined", "seval_reason")
     }
+    properties["terminating_attested"] = trs.terminating_attested
     properties["cd_witness"] = format_term(report.cd_witness) if report.cd_witness else None
     properties["confluence_witness"] = (
         {"left": format_term(witness.left), "right": format_term(witness.right)}
@@ -401,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--fuel",
                 type=_count,
-                default=None,
-                help="rewrite step budget (default 10000; env REDARG_FUEL)",
+                default=DEFAULT_FUEL,
+                help=f"rewrite step budget (default {DEFAULT_FUEL})",
             )
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(fn=fn)
@@ -446,9 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("oracle", "brute-force redundancy check for one argument")
     p.add_argument("-f", "--symbol", required=True)
     p.add_argument("-i", "--index", type=int, required=True)
-    p.add_argument("--ctx-depth", type=_count, default=3)
-    p.add_argument("--term-depth", type=_count, default=3)
-    p.add_argument("--max-cases", type=_count, default=50_000)
+    bounds = EnumBounds()
+    p.add_argument("--ctx-depth", type=_count, default=bounds.ctx_depth)
+    p.add_argument("--term-depth", type=_count, default=bounds.term_depth)
+    p.add_argument("--max-cases", type=_count, default=bounds.max_cases)
     finish(p, cmd_oracle, fuel=False)
 
     finish(command("bench", "run the benchmark corpus", "dir"), cmd_bench)
@@ -458,8 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "fuel") and args.fuel is None:
-            args.fuel = _default_fuel()
         code, doc, lines = args.fn(args)
     except RedargError as exc:
         print(f"error: {exc}", file=sys.stderr)

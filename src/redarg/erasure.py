@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .errors import WellFormednessError
+from .errors import NoGroundConstant, WellFormednessError
 from .rewrite import explore
 from .terms import App, FuncSymbol, Term, Var, instantiate, vars_of
-from .trs import _IDENT, Rule, Trs, canonical_rule, designated_constant
+from .trs import _IDENT, Rule, Trs, canonical_rule
 
 # caps for the unique-normal-form search during compression; small on
 # purpose so a looping right-hand side aborts quickly
@@ -89,30 +89,26 @@ def erase_trs(trs: Trs, rho: dict[str, frozenset[int]], suffix: str = "") -> Trs
 
     A rule l -> r becomes tau(l) -> sigma_l(tau(r)) where sigma_l
     plugs the designated constant of the right sort into variables
-    that the erased lhs no longer binds.  Attestations are dropped:
-    erasure does not preserve termination.
+    that the erased lhs no longer binds.  The termination attestation
+    is dropped: erasure does not preserve termination.
     """
     table = erasure_table(trs, rho, suffix)
+    constants = trs.designated_constants
     new_rules: list[Rule] = []
     for rule in trs.rules:
         lhs = erase_term(rule.lhs, table)
         rhs = erase_term(rule.rhs, table)
-        vanished = {v.name for v in vars_of(rule.lhs)} - {
-            v.name for v in vars_of(lhs)
-        }
-        needed = [v for v in sorted(vars_of(rhs), key=lambda v: v.name)
-                  if v.name in vanished]
-        if needed:
-            rhs = instantiate(rhs, {
-                v.name: erase_term(designated_constant(trs, v.sort), table) for v in needed
-            })
-        new_rules.append(Rule(lhs, rhs, rule.label))
+        plug: dict[str, Term] = {}
+        for v in sorted(vars_of(rhs) - vars_of(lhs), key=lambda v: v.name):
+            if v.sort not in constants:
+                raise NoGroundConstant(v.sort)
+            plug[v.name] = erase_term(constants[v.sort], table)
+        new_rules.append(Rule(lhs, instantiate(rhs, plug) if plug else rhs, rule.label))
 
     return Trs(
         sorts=trs.sorts,
         symbols=tuple(g for g, _ in table.values()),
         rules=tuple(new_rules),
-        attestations=frozenset(),
     )
 
 

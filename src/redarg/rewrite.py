@@ -361,8 +361,6 @@ def explore(
                 continue
             reached[v] = None
             queue.append(v)
-    if queue:
-        truncated = True
     return reached, truncated
 
 

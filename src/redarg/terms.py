@@ -44,9 +44,6 @@ class FuncSymbol:
     def arity(self) -> int:
         return len(self.arg_sorts)
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Var:
@@ -208,22 +205,15 @@ def format_position(p: Position) -> str:
     return "e" if not p else ".".join(str(i) for i in p)
 
 
-def iter_positions(t: Term) -> Iterator[Position]:
-    """All tree addresses of t in preorder, root first; iterative."""
+def iter_positions(t: Term) -> Iterator[tuple[Position, Term]]:
+    """Every tree address of t with the subterm there, in preorder,
+    root first; iterative."""
     stack: list[tuple[Term, Position]] = [(t, ())]
     while stack:
         u, p = stack.pop()
-        yield p
+        yield p, u
         if isinstance(u, App):
             stack.extend((u.args[k - 1], p + (k,)) for k in range(len(u.args), 0, -1))
-
-
-def subterm(t: Term, p: Position) -> Term:
-    for i in p:
-        if not isinstance(t, App) or not 1 <= i <= len(t.args):
-            raise PositionOutOfRange(f"position {format_position(p)} not in term")
-        t = t.args[i - 1]
-    return t
 
 
 def replace(t: Term, p: Position, s: Term) -> Term:

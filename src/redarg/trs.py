@@ -1,9 +1,10 @@
 """TRS model, the .trs file format, and structural property checks.
 
 A system is a many-sorted signature (constructors and defined symbols),
-an ordered list of rewrite rules, and a set of attestations.  Property
-checks gate the detection methods: left-linearity, constructor-system,
-complete definedness, confluence, and Seval-definedness.
+an ordered list of rewrite rules, and whether termination is attested.
+Property checks gate the detection methods: left-linearity,
+constructor-system, complete definedness, confluence, and
+Seval-definedness.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    NoGroundConstant,
     NotAConstructorSystem,
     ParseError,
     WellFormednessError,
@@ -34,7 +34,6 @@ from .terms import (
     iter_positions,
     repeated_variable,
     replace,
-    subterm,
     unify,
     var_names,
     vars_of,
@@ -50,9 +49,6 @@ class Rule:
     def __str__(self) -> str:
         return f"{format_term(self.lhs)} -> {format_term(self.rhs)}"
 
-    def __repr__(self) -> str:
-        return str(self)
-
 
 @dataclass(frozen=True)
 class Trs:
@@ -65,7 +61,7 @@ class Trs:
     sorts: tuple[Sort, ...]
     symbols: tuple[FuncSymbol, ...]
     rules: tuple[Rule, ...]
-    attestations: frozenset[str] = frozenset()
+    terminating_attested: bool = False
 
     @cached_property
     def symbol_map(self) -> dict[str, FuncSymbol]:
@@ -79,10 +75,6 @@ class Trs:
     def defined(self) -> tuple[FuncSymbol, ...]:
         return tuple(f for f in self.symbols if f.kind == "defined")
 
-    @property
-    def terminating_attested(self) -> bool:
-        return "terminating" in self.attestations
-
     @cached_property
     def rules_by_root(self) -> dict[str, tuple[Rule, ...]]:
         """The rules of each root symbol, in file order."""
@@ -91,9 +83,6 @@ class Trs:
             if isinstance(r.lhs, App):
                 index.setdefault(r.lhs.symbol.name, []).append(r)
         return {name: tuple(rs) for name, rs in index.items()}
-
-    def rules_for(self, fname: str) -> tuple[Rule, ...]:
-        return self.rules_by_root.get(fname, ())
 
     @cached_property
     def reducts_memo(self) -> dict[Term, tuple[Term, ...]]:
@@ -110,14 +99,24 @@ class Trs:
         return {}
 
     @cached_property
-    def least_constructor_terms(self) -> dict[Sort, tuple[int, Term]]:
-        """Per sort with a ground constructor term: the least depth of
-        one, and the designated constant (see designated_constant)."""
-        return _least_depth_terms(self.constructors)
+    def designated_constants(self) -> dict[Sort, Term]:
+        """The canonical ground constructor term of each sort that has
+        one: the first constructor term of least depth that the fixpoint
+        of _least_depth_terms finds.
+
+        So the first declared nullary constructor wins.  Among deeper terms
+        the first one found wins, which is not always the first by
+        declaration order: with `cons c1 : T -> U`, `cons v0 : V`,
+        `cons c2 : V -> U`, `cons t0 : T` the first pass knows v0 but not
+        yet t0 when it reaches c2, so U gets c2(v0), not c1(t0).
+        """
+        least = _least_depth_terms(self.constructors)
+        return {s: least[s][1] for s in self.sorts if s in least}
 
     @cached_property
     def least_ground_terms(self) -> dict[Sort, tuple[int, Term]]:
-        """As least_constructor_terms, over the full signature."""
+        """Per sort with a ground term: the least depth of one, and the
+        first term of that depth found (see _least_depth_terms)."""
         return _least_depth_terms(self.symbols)
 
     @cached_property
@@ -138,8 +137,6 @@ class Trs:
 class CriticalPair:
     left: Term
     right: Term
-    overlay: bool
-    trivial: bool
     position: Position
 
     def __str__(self) -> str:
@@ -149,9 +146,7 @@ class CriticalPair:
 @dataclass(frozen=True)
 class PropertyReport:
     left_linear: bool
-    ll_witness: Optional[tuple[Rule, str]]
     constructor_system: bool
-    cs_witness: Optional[Rule]
     completely_defined: bool
     cd_witness: Optional[Term]
     cd_reason: Optional[str]
@@ -159,27 +154,10 @@ class PropertyReport:
     confluence_witness: Optional[CriticalPair]
     seval_defined: bool
     seval_reason: Optional[str]
-    terminating_attested: bool
-
-    @cached_property
-    def failed_gates(self) -> dict[str, str]:
-        """The gates of the detection methods that the system fails, in
-        gate order (left-linear, constructor-system, confluent,
-        seval-defined), each with its witness in words."""
-        failed: dict[str, str] = {}
-        if not self.left_linear:
-            rule, name = self.ll_witness
-            failed["left-linear"] = f"variable {name} repeats in {rule}"
-        if not self.constructor_system:
-            failed["constructor-system"] = f"rule: {self.cs_witness}"
-        if not self.confluent.startswith("yes"):
-            witness = self.confluence_witness
-            failed["confluent"] = self.confluent + (
-                f" (critical pair {witness})" if witness else ""
-            )
-        if not self.seval_defined:
-            failed["seval-defined"] = self.seval_reason or ""
-        return failed
+    # the gates of the detection methods that the system fails, in gate
+    # order (left-linear, constructor-system, confluent, seval-defined),
+    # each with its witness in words
+    failed_gates: dict[str, str]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +311,7 @@ def parse_trs(text: str) -> Trs:
     """
     sorts: list[str] = []
     decls: list[tuple[str, str, tuple[str, ...], str, int]] = []
-    attestations: set[str] = set()
+    terminating = False
     rule_texts: list[tuple[str, str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -358,7 +336,7 @@ def parse_trs(text: str) -> Trs:
         elif keyword == "pragma":
             if rest != "terminating":
                 raise ParseError(f"unknown pragma {rest!r}", lineno)
-            attestations.add("terminating")
+            terminating = True
         elif keyword == "rule":
             if "->" not in rest:
                 raise ParseError("rule needs '->'", lineno)
@@ -405,7 +383,7 @@ def parse_trs(text: str) -> Trs:
         sorts=tuple(sorts),
         symbols=tuple(symbols[n] for n in order),
         rules=tuple(rules),
-        attestations=frozenset(attestations),
+        terminating_attested=terminating,
     )
 
 
@@ -421,8 +399,8 @@ def format_trs(trs: Trs) -> str:
         else:
             sig = f.result_sort
         lines.append(f"{keyword} {f.name} : {sig}")
-    for a in sorted(trs.attestations):
-        lines.append(f"pragma {a}")
+    if trs.terminating_attested:
+        lines.append("pragma terminating")
     for r in trs.rules:
         lines.append(f"rule {format_term(r.lhs)} -> {format_term(r.rhs)}")
     return "\n".join(lines) + "\n"
@@ -488,11 +466,7 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     pairs: list[CriticalPair] = []
     for outer_idx, outer in enumerate(trs.rules):
         outer_vars = var_names(outer.lhs) | var_names(outer.rhs)
-        subterms = [
-            (p, sub)
-            for p in iter_positions(outer.lhs)
-            if isinstance(sub := subterm(outer.lhs, p), App)
-        ]
+        subterms = [(p, sub) for p, sub in iter_positions(outer.lhs) if isinstance(sub, App)]
         for inner_idx, inner in enumerate(trs.rules):
             root = inner.lhs.symbol if isinstance(inner.lhs, App) else None
             overlaps = [
@@ -509,16 +483,7 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
                 if sigma is None:
                     continue
                 left = instantiate(replace(outer.lhs, p, renamed.rhs), sigma)
-                right = instantiate(outer.rhs, sigma)
-                pairs.append(
-                    CriticalPair(
-                        left=left,
-                        right=right,
-                        overlay=(p == ()),
-                        trivial=(left == right),
-                        position=p,
-                    )
-                )
+                pairs.append(CriticalPair(left, instantiate(outer.rhs, sigma), p))
     return pairs
 
 
@@ -534,7 +499,7 @@ def check_confluence(
     """
     ll, _ = check_left_linear(trs)
     cps = critical_pairs(trs)
-    if ll and all(cp.overlay and cp.trivial for cp in cps):
+    if ll and all(cp.position == () and cp.left == cp.right for cp in cps):
         return "yes-orthogonal", None
     if not trs.terminating_attested:
         return "unknown", None
@@ -629,17 +594,17 @@ def check_completely_defined(
         raise NotAConstructorSystem(
             f"not a constructor system (rule: {cs_witness})"
         )
-    ground_rep = designated_constants(trs)
+    ground_rep = trs.designated_constants
     constructors_by_sort: dict[Sort, list[FuncSymbol]] = {}
     for c in trs.constructors:
         constructors_by_sort.setdefault(c.result_sort, []).append(c)
     for f in trs.defined:
-        bad = [s for s in f.arg_sorts if s not in trs.least_constructor_terms]
+        bad = [s for s in f.arg_sorts if s not in ground_rep]
         if bad:
             return False, None, (
                 f"{f.name}: argument sort {bad[0]} has no ground constructor terms"
             )
-        rows = [r.lhs.args for r in trs.rules_for(f.name)]
+        rows = [r.lhs.args for r in trs.rules_by_root.get(f.name, ())]
         witness_args = _find_uncovered(
             list(f.arg_sorts), rows, constructors_by_sort, ground_rep
         )
@@ -668,11 +633,21 @@ def build_property_report(trs: Trs, fuel: int = DEFAULT_FUEL) -> PropertyReport:
         seval_reason = f"not completely defined ({detail})"
     else:
         seval_reason = None
+    failed: dict[str, str] = {}
+    if not ll:
+        rule, name = ll_witness
+        failed["left-linear"] = f"variable {name} repeats in {rule}"
+    if not cs:
+        failed["constructor-system"] = f"rule: {cs_witness}"
+    if not confluent.startswith("yes"):
+        failed["confluent"] = confluent + (
+            f" (critical pair {confluence_witness})" if confluence_witness else ""
+        )
+    if seval_reason is not None:
+        failed["seval-defined"] = seval_reason
     return PropertyReport(
         left_linear=ll,
-        ll_witness=ll_witness,
         constructor_system=cs,
-        cs_witness=cs_witness,
         completely_defined=cd,
         cd_witness=cd_witness,
         cd_reason=cd_reason,
@@ -680,12 +655,12 @@ def build_property_report(trs: Trs, fuel: int = DEFAULT_FUEL) -> PropertyReport:
         confluence_witness=confluence_witness,
         seval_defined=seval_reason is None,
         seval_reason=seval_reason,
-        terminating_attested=trs.terminating_attested,
+        failed_gates=failed,
     )
 
 
 # ---------------------------------------------------------------------------
-# Ground terms of least depth, and designated per-sort constants
+# Ground terms of least depth
 
 def _least_depth_terms(symbols: tuple[FuncSymbol, ...]) -> dict[Sort, tuple[int, Term]]:
     """Per inhabited sort, the least depth of a ground term over the
@@ -708,29 +683,6 @@ def _least_depth_terms(symbols: tuple[FuncSymbol, ...]) -> dict[Sort, tuple[int,
                     least[f.result_sort] = (d, App(f, args))
                     changed = True
     return least
-
-
-def designated_constant(trs: Trs, sort: Sort) -> Term:
-    """The canonical ground constructor term of a sort: the first
-    constructor term of least depth that the fixpoint of
-    _least_depth_terms finds.
-
-    So the first declared nullary constructor wins.  Among deeper terms
-    the first one found wins, which is not always the first by
-    declaration order: with `cons c1 : T -> U`, `cons v0 : V`,
-    `cons c2 : V -> U`, `cons t0 : T` the first pass knows v0 but not
-    yet t0 when it reaches c2, so U gets c2(v0), not c1(t0).
-    """
-    least = trs.least_constructor_terms.get(sort)
-    if least is None:
-        raise NoGroundConstant(sort)
-    return least[1]
-
-
-def designated_constants(trs: Trs) -> dict[Sort, Term]:
-    """Designated constants for every realizable sort of the system."""
-    least = trs.least_constructor_terms
-    return {s: least[s][1] for s in trs.sorts if s in least}
 
 
 # ---------------------------------------------------------------------------

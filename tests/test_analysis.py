@@ -10,7 +10,6 @@ from redarg import (
     PreconditionUnmet,
     Var,
     analyze,
-    designated_constants,
     fi_triples,
     format_term,
     parse_term,
@@ -111,13 +110,13 @@ def test_fi_triples_all_pairs(mutrec2=None):
 # --- the tau transformation and sigma_C -------------------------------------
 
 def test_tau_transform_identity_on_variable_argument(applast):
-    constants = designated_constants(applast)
+    constants = applast.designated_constants
     rule = applast.rules[2]  # lastnew(x, nil, z) -> z with respect to arg 1
     assert tau_transform(rule.rhs, rule.lhs, "lastnew", 1, constants) is rule.rhs
 
 
 def test_tau_transform_plugs_dependent_subterm(applast):
-    constants = designated_constants(applast)
+    constants = applast.designated_constants
     lhs = parse_term("lastnew(x, cons(y, ys), z)", applast)
     rhs = parse_term("lastnew(y, ys, z)", applast)
     out = tau_transform(rhs, lhs, "lastnew", 2, constants)
@@ -125,7 +124,7 @@ def test_tau_transform_plugs_dependent_subterm(applast):
 
 
 def test_tau_transform_outermost_only(applast):
-    constants = designated_constants(applast)
+    constants = applast.designated_constants
     lhs = parse_term("lastnew(x, cons(y, ys), z)", applast)
     # nested lastnew: only the outermost dependent argument-2 position
     # is plugged, the inner one disappears with it
@@ -151,12 +150,12 @@ rule f(x, S(y)) -> f(x, f(S(y), y))
 def test_tau_transform_nested_positions(rhs, expected):
     # the argument-2 positions nest: only the outermost is plugged
     lhs = NESTED.rules[1].lhs
-    out = tau_transform(parse_term(rhs, NESTED), lhs, "f", 2, designated_constants(NESTED))
+    out = tau_transform(parse_term(rhs, NESTED), lhs, "f", 2, NESTED.designated_constants)
     assert format_term(out) == expected
 
 
 def test_sigma_c_frozen_example(applast):
-    constants = designated_constants(applast)
+    constants = applast.designated_constants
     (triple,) = fi_triples(applast, "lastnew", 2)
     sc = sigma_c(triple, constants)
     assert dict(sc.items()) == {
@@ -168,7 +167,7 @@ def test_sigma_c_frozen_example(applast):
 
 
 def test_check_triple_joins(applast):
-    constants = designated_constants(applast)
+    constants = applast.designated_constants
     (triple,) = fi_triples(applast, "lastnew", 2)
     ev = check_triple(applast, triple, constants)
     assert format_term(ev.left) == "z'"

@@ -618,19 +618,6 @@ def test_bench_bad_expectations(cli, tmp_path, spec, message):
 
 # --- plumbing ---------------------------------------------------------------
 
-def test_fuel_env_override(cli, monkeypatch):
-    monkeypatch.setenv("REDARG_FUEL", "1")
-    rc, out, _ = cli("eval", str(corpus_path("bogus.trs")), "-e", "loop(Z, Z, Z)")
-    assert rc == 3 and out.startswith("fuel-exhausted")
-
-
-def test_fuel_env_rejects_garbage(cli, monkeypatch):
-    monkeypatch.setenv("REDARG_FUEL", "abc")
-    rc, _, err = cli("eval", str(corpus_path("bogus.trs")), "-e", "loop(Z, Z, Z)")
-    assert rc == 2
-    assert "REDARG_FUEL is not an integer" in err
-
-
 @pytest.mark.parametrize("command", [
     "eval bogus.trs -e loop(Z,Z,Z) --fuel -5",
     "analyze bogus.trs --fuel -1",
@@ -640,13 +627,9 @@ def test_fuel_env_rejects_garbage(cli, monkeypatch):
     "oracle bogus.trs -f loop -i 2 --term-depth -2",
     "oracle bogus.trs -f loop -i 2 --max-cases -10",
     "verify bogus.trs --trials many",
-    "REDARG_FUEL=-5 eval bogus.trs -e loop(Z,Z,Z)",
 ])
-def test_negative_numeric_values_exit_2(cli, monkeypatch, corpus_dir, command):
+def test_negative_numeric_values_exit_2(cli, corpus_dir, command):
     words = command.split()
-    if "=" in words[0]:
-        name, value = words.pop(0).split("=")
-        monkeypatch.setenv(name, value)
     words[1] = str(corpus_dir / words[1])
     rc, out, err = cli(*words)
     assert rc == 2 and out == ""

@@ -1,7 +1,8 @@
 """Every imported name is used, and every definition in the package is
 used: a deletion that leaves an import behind, or a function that no
 code calls, fails here.  The package's __init__ is skipped, since its
-imports are its public names."""
+imports are its public names.  No module of the package reads the
+environment: every setting is a command-line option."""
 
 import ast
 from pathlib import Path
@@ -172,3 +173,38 @@ def test_write_only_fields_found():
     )
     # a store is not a read, and a class that is not a dataclass has no fields
     assert write_only_fields([source], [source]) == ["A.unread", "B.dropped"]
+
+
+ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list[str]:
+    """The names through which source reads the environment, in source
+    order: os.environ, os.getenv, or either imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ENVIRONMENT:
+            found.append((node.lineno, node.col_offset, name))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_no_environment_reads():
+    assert [f"{p.name}: {read}" for p in sorted((ROOT / "src" / "redarg").glob("*.py"))
+            for read in environment_reads(p.read_text())] == []
+
+
+def test_environment_reads_found():
+    source = (
+        "import os\nfrom os import getenv as ge\n"
+        "def fuel():\n    return os.environ.get('FUEL') or os.getenv('FUEL')\n"
+        "def path():\n    return os.path.sep\n"
+    )
+    assert environment_reads(source) == ["getenv (line 2)", "environ (line 4)", "getenv (line 4)"]

@@ -19,7 +19,6 @@ from redarg import (
     is_ground,
     match,
     replace,
-    subterm,
     unify,
     unify_up_to_arg,
     vars_of,
@@ -121,10 +120,10 @@ def test_deep_terms_walk_without_recursion():
         deep = s(deep)
     bottom = (1,) * 3000
     assert sum(1 for _ in iter_positions(deep)) == 3001
-    assert list(iter_positions(deep))[-1] == bottom
+    assert list(iter_positions(deep))[-1] == (bottom, x)
     filled = instantiate(deep, {"x": z})
     assert filled is replace(deep, bottom, z)
-    assert subterm(filled, bottom) is z
+    assert dict(iter_positions(filled))[bottom] is z
     assert fold(filled, lambda v: 0, lambda u, ds: 1 + max(ds, default=0)) == 3001
     sigma = unify(deep, filled)
     assert sigma is not None and sigma.get("x") is z
@@ -132,7 +131,9 @@ def test_deep_terms_walk_without_recursion():
 
 def test_iter_positions_preorder():
     t = f(s(x), f(z, y))
-    assert list(iter_positions(t)) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
+    assert list(iter_positions(t)) == [
+        ((), t), ((1,), s(x)), ((1, 1), x), ((2,), f(z, y)), ((2, 1), z), ((2, 2), y)
+    ]
 
 
 def test_fold_is_bottom_up_left_to_right():
@@ -162,8 +163,8 @@ def test_format_term():
 
 def test_subterm_and_replace():
     t = f(s(z), x)
-    assert subterm(t, ()) is t
-    assert subterm(t, (1, 1)) == z
+    assert dict(iter_positions(t))[()] is t
+    assert dict(iter_positions(t))[(1, 1)] == z
     assert replace(t, (1,), z) == f(z, x)
     assert replace(t, (), z) == z
     # original untouched
@@ -171,8 +172,6 @@ def test_subterm_and_replace():
 
 
 def test_position_out_of_range():
-    with pytest.raises(PositionOutOfRange):
-        subterm(z, (1,))
     with pytest.raises(PositionOutOfRange):
         replace(s(z), (2,), z)
 
@@ -342,5 +341,5 @@ def test_unify_produces_unifier(a, b):
 
 @given(nat_terms())
 def test_replace_subterm_roundtrip(t):
-    for p in iter_positions(t):
-        assert replace(t, p, subterm(t, p)) == t
+    for p, sub in iter_positions(t):
+        assert replace(t, p, sub) == t

@@ -3,7 +3,6 @@
 import pytest
 
 from redarg import (
-    NoGroundConstant,
     NotAConstructorSystem,
     ParseError,
     RedargError,
@@ -15,15 +14,13 @@ from redarg import (
     check_constructor_system,
     check_left_linear,
     critical_pairs,
-    designated_constant,
-    designated_constants,
     format_term,
     format_trs,
     parse_term,
     parse_trs,
     rules_alpha_equal,
 )
-from redarg.terms import instantiate, iter_positions, replace, subterm, unify, var_names
+from redarg.terms import instantiate, iter_positions, replace, unify, var_names
 from redarg.trs import CriticalPair, _read_term, _rename_apart, canonical_rule
 
 from conftest import CORPUS, load_corpus
@@ -226,13 +223,13 @@ def test_format_round_trip():
     assert again.sorts == trs.sorts
     assert again.symbols == trs.symbols
     assert again.rules == trs.rules
-    assert again.attestations == trs.attestations
+    assert again.terminating_attested == trs.terminating_attested
 
 
 def test_fun_without_rules_is_fine():
     # erased specialized programs may be bare constants
     trs = parse_trs("sort N\ncons a : N\nfun k : N\n")
-    assert trs.rules_for("k") == ()
+    assert trs.rules_by_root.get("k", ()) == ()
 
 
 # --- structural checks ------------------------------------------------------
@@ -264,7 +261,7 @@ def test_critical_pairs_overlay(nonconfluent):
     cps = critical_pairs(nonconfluent)
     assert len(cps) == 1
     cp = cps[0]
-    assert cp.overlay and not cp.trivial
+    assert cp.position == () and cp.left != cp.right
     assert cp.position == ()
     assert {format_term(cp.left), format_term(cp.right)} == {"Z", "S(Z)"}
 
@@ -290,8 +287,7 @@ def reference_critical_pairs(trs):
         outer_vars = var_names(outer.lhs) | var_names(outer.rhs)
         for inner_idx, inner in enumerate(trs.rules):
             renamed = _rename_apart(inner, outer_vars)
-            for p in sorted(iter_positions(outer.lhs)):
-                sub = subterm(outer.lhs, p)
+            for p, sub in sorted(iter_positions(outer.lhs), key=lambda ps: ps[0]):
                 if isinstance(sub, Var) or (p == () and inner_idx >= outer_idx):
                     continue
                 sigma = unify(sub, renamed.lhs)
@@ -299,7 +295,7 @@ def reference_critical_pairs(trs):
                     continue
                 left = instantiate(replace(outer.lhs, p, renamed.rhs), sigma)
                 right = instantiate(outer.rhs, sigma)
-                pairs.append(CriticalPair(left, right, p == (), left == right, p))
+                pairs.append(CriticalPair(left, right, p))
     return pairs
 
 
@@ -348,7 +344,7 @@ OVERLAPPING = (
 def test_confluence_knuth_bendix():
     trs = parse_trs(OVERLAPPING.format(pragma="pragma terminating\n"))
     cps = critical_pairs(trs)
-    assert len(cps) == 1 and cps[0].overlay and not cps[0].trivial
+    assert len(cps) == 1 and cps[0].position == () and cps[0].left != cps[0].right
     assert check_confluence(trs) == ("yes-knuth-bendix", None)
 
 
@@ -428,14 +424,14 @@ def test_property_report(applast):
     assert rep.left_linear and rep.constructor_system
     assert rep.completely_defined and rep.seval_defined
     assert rep.confluent == "yes-orthogonal"
-    assert rep.terminating_attested
+    assert applast.terminating_attested
 
 
 # --- designated constants ---------------------------------------------------
 
 def test_designated_constant_prefers_nullary(applast):
-    assert format_term(designated_constant(applast, "Nat")) == "Z"
-    assert format_term(designated_constant(applast, "List")) == "nil"
+    assert format_term(applast.designated_constants["Nat"]) == "Z"
+    assert format_term(applast.designated_constants["List"]) == "nil"
 
 
 def test_designated_constant_composite():
@@ -443,7 +439,7 @@ def test_designated_constant_composite():
         "sort E\nsort P\ncons mk : P\ncons pair : P E\n"  # no nullary E
     )
     # smallest ground E term is pair(mk)
-    assert format_term(designated_constant(trs, "E")) == "pair(mk)"
+    assert format_term(trs.designated_constants["E"]) == "pair(mk)"
 
 
 def test_designated_constant_keeps_first_found_at_least_depth():
@@ -452,7 +448,7 @@ def test_designated_constant_keeps_first_found_at_least_depth():
         "cons c1 : T -> U\ncons v0 : V\ncons c2 : V -> U\ncons t0 : T\n"
     )
     # the first pass reaches c2 knowing v0 but not yet t0
-    assert format_term(designated_constant(trs, "U")) == "c2(v0)"
+    assert format_term(trs.designated_constants["U"]) == "c2(v0)"
 
 
 CORPUS_CONSTANTS = {
@@ -488,15 +484,13 @@ def test_designated_constants_of_the_corpus(corpus_dir):
     assert files == sorted(CORPUS_CONSTANTS)
     for relpath, expected in CORPUS_CONSTANTS.items():
         trs = load_corpus(relpath)
-        got = {s: format_term(designated_constant(trs, s)) for s in trs.sorts}
+        got = {s: format_term(trs.designated_constants[s]) for s in trs.sorts}
         assert got == expected, relpath
 
 
 def test_designated_constant_missing():
     trs = parse_trs("sort A\ncons box : A -> A\n")
-    with pytest.raises(NoGroundConstant):
-        designated_constant(trs, "A")
-    assert designated_constants(trs) == {}
+    assert trs.designated_constants == {}
 
 
 # --- alpha-equivalence ------------------------------------------------------
