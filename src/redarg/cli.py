@@ -174,7 +174,7 @@ def _parse_rho(specs: list[str], trs: Trs) -> dict[str, frozenset[int]]:
     rho: dict[str, frozenset[int]] = {}
     for spec in specs:
         name, colon, idx_text = spec.partition(":")
-        if not colon:
+        if not (name and colon):
             raise WellFormednessError(f"bad --rho value {spec!r}, expected SYM:I[,J..]")
         try:
             indices = _checked_indices(

@@ -356,39 +356,34 @@ def _walk(t: Term, bindings: dict[str, Term]) -> Term:
     return t
 
 
-def _occurs(name: str, t: Term, bindings: dict[str, Term]) -> bool:
-    stack = [t]
-    while stack:
-        u = _walk(stack.pop(), bindings)
-        if isinstance(u, Var):
-            if u.name == name:
-                return True
-        else:
-            stack.extend(u.args)
-    return False
-
-
-def _resolve(bindings: dict[str, Term]) -> Substitution:
+def _resolve(bindings: dict[str, Term]) -> Optional[Substitution]:
     """The idempotent form of triangular bindings, keys in the same
-    order.  Each binding is instantiated after the bound variables it
-    mentions, which the occurs check keeps acyclic; a stack orders them,
-    so a chain of any length resolves."""
+    order, or None when they are cyclic.  Each binding is instantiated
+    after the bound variables it mentions; a stack orders them, so a
+    chain of any length resolves.  A binding popped again while those
+    are still unresolved depends on itself: that is the occurs check."""
     done: Substitution = {}
+    waiting: set[str] = set()
     stack = list(bindings)
     while stack:
         n = stack.pop()
         if n in done:
             continue
         todo = [v.name for v in vars_of(bindings[n]) if v.name in bindings and v.name not in done]
-        if todo:
-            stack += (n, *todo)
-        else:
+        if not todo:
             done[n] = instantiate(bindings[n], done)
+        elif n in waiting:
+            return None
+        else:
+            waiting.add(n)
+            stack += (n, *todo)
     return {n: done[n] for n in bindings}
 
 
 def _unify_pairs(pairs: list[tuple[Term, Term]]) -> Optional[Substitution]:
     bindings: dict[str, Term] = {}
+    # a cyclic binding can walk back to a pair already split
+    split: set[tuple[App, App]] = set()
     stack = list(pairs)
     while stack:
         a, b = stack.pop()
@@ -396,25 +391,17 @@ def _unify_pairs(pairs: list[tuple[Term, Term]]) -> Optional[Substitution]:
         b = _walk(b, bindings)
         if a == b:
             continue
-        if isinstance(a, Var) and isinstance(b, Var):
+        # bind a variable, of two the larger, to the other side
+        if isinstance(b, Var) and (isinstance(a, App) or _var_key(b.name) > _var_key(a.name)):
+            a, b = b, a
+        if isinstance(a, Var):
             if a.sort != b.sort:
                 return None
-            # bind the larger variable to the smaller one
-            if _var_key(a.name) > _var_key(b.name):
-                bindings[a.name] = b
-            else:
-                bindings[b.name] = a
-        elif isinstance(a, Var):
-            if a.sort != b.sort or _occurs(a.name, b, bindings):
-                return None
             bindings[a.name] = b
-        elif isinstance(b, Var):
-            if b.sort != a.sort or _occurs(b.name, a, bindings):
-                return None
-            bindings[b.name] = a
-        else:
-            if a.symbol != b.symbol:
-                return None
+        elif a.symbol != b.symbol:
+            return None
+        elif (a, b) not in split:
+            split.add((a, b))
             stack.extend(zip(a.args, b.args))
     return _resolve(bindings)
 

@@ -183,6 +183,7 @@ def test_erase_rho_matches_analysis(cli):
     "value, message",
     [
         ("applast", "bad --rho value"),
+        (":1", "bad --rho value"),
         ("applast:0", "index 0 out of range"),
         ("applast:9", "index 9 out of range"),
         ("applast:one", "bad indices"),

@@ -1,10 +1,11 @@
 """Term algebra: positions, substitution, matching, unification."""
 
 import copy
+import itertools
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from redarg import (
     App,
@@ -23,6 +24,7 @@ from redarg import (
     unify_up_to_arg,
     vars_of,
 )
+import redarg.terms as terms
 from redarg.terms import fold, iter_positions
 
 NAT = "Nat"
@@ -238,8 +240,34 @@ def test_unify_basic():
     assert instantiate(f(x, z), sigma) == instantiate(f(s(y), z), sigma)
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the binding walks of unification; a unification that makes
+    a million of them fails here rather than running on."""
+    count = [0]
+    walk = terms._walk
+
+    def counted(t, bindings):
+        count[0] += 1
+        if count[0] > 1_000_000:
+            raise AssertionError("unification does not terminate")
+        return walk(t, bindings)
+
+    monkeypatch.setattr(terms, "_walk", counted)
+    return count
+
+
 def test_unify_occurs_check():
     assert unify(x, s(x)) is None
+
+
+def test_unify_indirect_cycle(walks):
+    # x = S(y) and y = S(x): neither binding mentions its own variable
+    assert unify(f(x, y), f(s(y), s(x))) is None
+    # binds x to S(x) and y to S(y) first; then (x, y) walks to
+    # (S(x), S(y)), whose split gives (x, y) again
+    g = FuncSymbol("g", (NAT, NAT, NAT), NAT, "defined")
+    assert unify(App(g, (x, y, x)), App(g, (y, s(y), s(x)))) is None
 
 
 def test_unify_clash():
@@ -263,15 +291,19 @@ def test_unify_idempotent():
     assert instantiate(t, sigma) == t
 
 
-def test_unify_long_chain():
-    # g(x1..xn, x1..xn) = g(S(y1)..S(yn), y0..y(n-1)) binds x_k to
-    # S(y_k) and y_(k-1) to S(y_k): the bindings form a chain n long
-    n = 2000
+def chain(n):
+    """g(x1..xn, x1..xn) and g(S(y1)..S(yn), y0..y(n-1)): unifying them
+    binds x_k to S(y_k) and y_(k-1) to x_k, a chain n long."""
     g = FuncSymbol("g", (NAT,) * (2 * n), NAT, "defined")
     xs = [Var(f"x{k}", NAT) for k in range(1, n + 1)]
     ys = [Var(f"y{k}", NAT) for k in range(n + 1)]
-    left = App(g, (*xs, *xs))
-    right = App(g, (*(s(v) for v in ys[1:]), *ys[:-1]))
+    return App(g, (*xs, *xs)), App(g, (*(s(v) for v in ys[1:]), *ys[:-1]))
+
+
+def test_unify_long_chain():
+    n = 2000
+    ys = [Var(f"y{k}", NAT) for k in range(n + 1)]
+    left, right = chain(n)
     sigma = unify(left, right)
     assert sigma is not None
     assert instantiate(left, sigma) is instantiate(right, sigma)
@@ -281,6 +313,15 @@ def test_unify_long_chain():
         towers.append(s(towers[-1]))
     assert sigma == {**{f"x{k}": towers[n - k + 1] for k in range(1, n + 1)},
                      **{f"y{k}": towers[n - k] for k in range(n)}}
+
+
+def test_unify_chain_walks_linearly(walks):
+    counts = []
+    for n in (500, 1000):
+        walks[0] = 0
+        assert unify(*chain(n)) is not None
+        counts.append(walks[0])
+    assert counts[1] / counts[0] <= 2.2
 
 
 def test_unify_variables_of_different_sorts():
@@ -337,6 +378,22 @@ def test_unify_produces_unifier(a, b):
     sigma = unify(a, b)
     if sigma is not None:
         assert instantiate(a, sigma) == instantiate(b, sigma)
+
+
+GROUND = [z, s(z), s(s(z)), f(z, z), f(s(z), z)]
+
+
+@given(nat_terms(), nat_terms())
+@example(s(f(x, y)), s(f(s(y), z)))  # x's binding waits on y's: not a cycle
+def test_unify_is_most_general(a, b):
+    # every ground unifier theta over a small pool is an instance of the
+    # mgu: a sigma theta = a theta
+    sigma = unify(a, b)
+    for gx, gy in itertools.product(GROUND, repeat=2):
+        theta = {"x": gx, "y": gy}
+        if instantiate(a, theta) == instantiate(b, theta):
+            assert sigma is not None
+            assert instantiate(instantiate(a, sigma), theta) == instantiate(a, theta)
 
 
 @given(nat_terms())
