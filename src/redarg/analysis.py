@@ -18,7 +18,7 @@ barrier, so the result is independent of candidate order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NoGroundConstant, PreconditionUnmet
 from .rewrite import DEFAULT_FUEL, join
@@ -28,6 +28,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    clash,
     fold,
     instantiate,
     unify_up_to_arg,
@@ -137,21 +138,23 @@ def variable_case(
     ) and _arg_vars_redundant(trs, fname, i, known or {})
 
 
-def fi_triples(trs: Trs, fname: str, i: int) -> list[FITriple]:
-    """All unordered pairs of distinct rules of f whose lhss unify up
-    to argument i, in rule-index order; the second rule is renamed
-    apart (clashing variables get primes)."""
+def fi_triples(trs: Trs, fname: str, i: int) -> Iterator[FITriple]:
+    """Lazily, the unordered pairs of distinct rules of f whose lhss
+    unify up to argument i, in rule-index order; the second rule is
+    renamed apart (clashing variables get primes) unless the other
+    arguments clash, when the pair is skipped."""
     rules = trs.rules_by_root.get(fname, ())
     sym = trs.symbol_map[fname]
-    triples: list[FITriple] = []
-    for j in range(len(rules)):
-        vars1 = {v.name for v in vars_of(rules[j].lhs) | vars_of(rules[j].rhs)}
-        for k in range(j + 1, len(rules)):
-            renamed = _rename_apart(rules[k], vars1)
-            sigma = unify_up_to_arg(rules[j].lhs, renamed.lhs, i)
+    for j, rule1 in enumerate(rules):
+        vars1 = {v.name for v in vars_of(rule1.lhs) | vars_of(rule1.rhs)}
+        for rule2 in rules[j + 1:]:
+            pairs = zip(rule1.lhs.args, rule2.lhs.args)
+            if any(k != i and clash(a, b) for k, (a, b) in enumerate(pairs, 1)):
+                continue
+            renamed = _rename_apart(rule2, vars1)
+            sigma = unify_up_to_arg(rule1.lhs, renamed.lhs, i)
             if sigma is not None:
-                triples.append(FITriple(rules[j], renamed, sigma, sym, i))
-    return triples
+                yield FITriple(rule1, renamed, sigma, sym, i)
 
 
 def tau_transform(
@@ -282,10 +285,12 @@ def analyze(
     Methods unavailable on this system are recorded as notes and
     skipped; they never raise here.  Within a round every candidate is
     judged against the round-start result, so candidate order cannot
-    change the outcome.  The triple verdict of a candidate does not
-    depend on that result, so it is computed at most once.  Every round
-    but the last adds a position, so there are at most
-    len(candidates) + 1 rounds.
+    change the outcome.  After round 1, a round judges only candidates
+    whose rules' rhss hold a symbol that gained a position in the round
+    before (a worklist; Kildall, POPL 1973).  The triple verdict of a
+    candidate does not depend on that result, so it is computed at most
+    once, up to the first triple that does not join.  Every round but
+    the last adds a position, so there are at most len(candidates) + 1 rounds.
     """
     report = build_property_report(trs, fuel=fuel)
     notes, var_ok, pat_ok = _gating_notes(report)
@@ -309,13 +314,26 @@ def analyze(
     verdicts: dict[tuple[str, int], PatternVerdict | NoGroundConstant] = {}
     known: KnownMap = {}
     justifications: dict[tuple[str, int], Justification] = {}
+    # once indeterminate, always: a larger `known` hides more, and the verdict is kept
     indeterminate: set[tuple[str, int]] = set()
+    # each symbol -> the indices of the candidates whose rules' rhss hold it
+    watchers: dict[str, list[int]] = {}
+    for n, (fname, _) in enumerate(candidates):
+        names, stack = set(), [r.rhs for r in trs.rules_by_root.get(fname, ())]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, App):
+                names.add(u.symbol.name)
+                stack.extend(u.args)
+        for name in names:
+            watchers.setdefault(name, []).append(n)
+    todo: Iterable[int] = range(len(candidates))
     rounds = 0
     while True:
         rounds += 1
         additions: list[tuple[str, int, Justification]] = []
-        indeterminate_this_round: set[tuple[str, int]] = set()
-        for fname, i in candidates:
+        for n in todo:
+            fname, i = candidates[n]
             if i in known.get(fname, frozenset()):
                 continue
             variable = (fname, i) in variable_bound
@@ -343,13 +361,13 @@ def analyze(
                     (fname, i, Justification("pattern-case", rounds, evidence))
                 )
             elif verdict is None:
-                indeterminate_this_round.add((fname, i))
-        indeterminate = indeterminate_this_round
+                indeterminate.add((fname, i))
         if not additions:
             break
         for fname, i, just in additions:
             known[fname] = known.get(fname, frozenset()) | {i}
             justifications[(fname, i)] = just
+        todo = sorted({n for fname, _, _ in additions for n in watchers.get(fname, ())})
 
     assert all(
         trs.symbol_map[name].kind == "defined" for name in known

@@ -350,6 +350,19 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
     return bindings
 
 
+def clash(t: Term, s: Term) -> bool:
+    """Whether t and s carry different symbols at a position where both
+    are applications, so that no renaming and no substitution unifies them."""
+    stack = [(t, s)]
+    while stack:
+        a, b = stack.pop()
+        if a is not b and isinstance(a, App) and isinstance(b, App):
+            if a.symbol != b.symbol:
+                return True
+            stack.extend(zip(a.args, b.args))
+    return False
+
+
 def _walk(t: Term, bindings: dict[str, Term]) -> Term:
     while isinstance(t, Var) and t.name in bindings:
         t = bindings[t.name]

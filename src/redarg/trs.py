@@ -28,6 +28,7 @@ from .terms import (
     Sort,
     Term,
     Var,
+    clash,
     fold,
     format_term,
     instantiate,
@@ -438,10 +439,10 @@ def check_constructor_system(trs: Trs) -> tuple[bool, Optional[Rule]]:
 
 def _rename_apart(rule: Rule, avoid: set[str]) -> Rule:
     """Prime-rename the rule's variables that clash with `avoid`."""
-    own = var_names(rule.lhs) | var_names(rule.rhs)
+    own = vars_of(rule.lhs) | vars_of(rule.rhs)
     mapping: dict[str, Term] = {}
-    taken = set(avoid) | own
-    for v in sorted(vars_of(rule.lhs) | vars_of(rule.rhs), key=lambda v: v.name):
+    taken = {v.name for v in own} | avoid
+    for v in sorted(own, key=lambda v: v.name):
         if v.name not in avoid:
             continue
         fresh = v.name
@@ -455,35 +456,33 @@ def _rename_apart(rule: Rule, avoid: set[str]) -> Rule:
 
 
 def critical_pairs(trs: Trs) -> list[CriticalPair]:
-    """All critical pairs from overlaps at non-variable lhs positions.
+    """All critical pairs at non-variable lhs positions, by outer rule, inner rule and position.
 
     The inner rule is renamed apart.  A rule does not overlap with
     itself at the root; for distinct rules the root overlap is kept
     once (inner index < outer index), avoiding mirror duplicates.
-    Only positions whose root symbol is the inner lhs root can unify,
-    so the others are skipped before renaming and unifying.
+    Only the rules of a position's root symbol are tried there, and one
+    whose lhs clashes with the subterm is skipped before renaming.
     """
+    # the rule indices of each lhs root; None for a variable lhs, which overlaps anything
+    at: dict[Optional[str], list[int]] = {}
+    for k, rule in enumerate(trs.rules):
+        at.setdefault(rule.lhs.symbol.name if isinstance(rule.lhs, App) else None, []).append(k)
     pairs: list[CriticalPair] = []
     for outer_idx, outer in enumerate(trs.rules):
-        outer_vars = var_names(outer.lhs) | var_names(outer.rhs)
-        subterms = [(p, sub) for p, sub in iter_positions(outer.lhs) if isinstance(sub, App)]
-        for inner_idx, inner in enumerate(trs.rules):
-            root = inner.lhs.symbol if isinstance(inner.lhs, App) else None
-            overlaps = [
-                (p, sub)
-                for p, sub in subterms
-                if (root is None or sub.symbol == root)
-                and (p or inner_idx < outer_idx)
-            ]
-            if not overlaps:
+        for k, p, sub in sorted(
+            (k, p, sub)
+            for p, sub in iter_positions(outer.lhs)
+            if isinstance(sub, App)
+            for k in at.get(sub.symbol.name, []) + at.get(None, [])
+            if (p or k < outer_idx) and not clash(sub, trs.rules[k].lhs)
+        ):
+            renamed = _rename_apart(trs.rules[k], var_names(outer.lhs) | var_names(outer.rhs))
+            sigma = unify(sub, renamed.lhs)
+            if sigma is None:
                 continue
-            renamed = _rename_apart(inner, outer_vars)
-            for p, sub in overlaps:
-                sigma = unify(sub, renamed.lhs)
-                if sigma is None:
-                    continue
-                left = instantiate(replace(outer.lhs, p, renamed.rhs), sigma)
-                pairs.append(CriticalPair(left, instantiate(outer.rhs, sigma), p))
+            left = instantiate(replace(outer.lhs, p, renamed.rhs), sigma)
+            pairs.append(CriticalPair(left, instantiate(outer.rhs, sigma), p))
     return pairs
 
 

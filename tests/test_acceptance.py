@@ -108,7 +108,7 @@ def test_criterion_02_reduced_erasures_match_expected():
 
 def test_criterion_03_worked_intermediates():
     applast = load_corpus("applast.trs")
-    triples = fi_triples(applast, "lastnew", 2)
+    triples = list(fi_triples(applast, "lastnew", 2))
     constants = applast.designated_constants
     checks = [len(triples) == 1]
     tr = triples[0]

@@ -2,6 +2,7 @@
 fixpoint driver."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,23 @@ from redarg import (
     pattern_case,
     variable_case,
 )
-from redarg.analysis import _visible_vars, check_triple, sigma_c, tau_transform
+from redarg.analysis import (
+    AnalysisResult,
+    FITriple,
+    Justification,
+    _arg_vars_redundant,
+    _gating_notes,
+    _visible_vars,
+    check_triple,
+    sigma_c,
+    tau_transform,
+)
+from redarg.errors import NoGroundConstant
+from redarg.rewrite import DEFAULT_FUEL
+from redarg.terms import unify_up_to_arg, var_names
+from redarg.trs import _rename_apart, build_property_report
 
-from conftest import CORPUS, load_corpus
+from conftest import CORPUS, GENERATED, load_corpus, symbol_chain, table
 
 
 # --- per-variable test ------------------------------------------------------
@@ -82,7 +97,7 @@ def test_variable_case_gates(noncs):
 # --- triples ----------------------------------------------------------------
 
 def test_fi_triples_lastnew(applast):
-    triples = fi_triples(applast, "lastnew", 2)
+    triples = list(fi_triples(applast, "lastnew", 2))
     assert len(triples) == 1
     tr = triples[0]
     assert str(tr.rule1) == "lastnew(x, nil, z) -> z"
@@ -96,12 +111,12 @@ def test_fi_triples_lastnew(applast):
 
 def test_fi_triples_clash_on_other_argument(applast):
     # deleting argument 3 leaves nil against cons(y, ys): no triple
-    assert fi_triples(applast, "lastnew", 3) == []
+    assert list(fi_triples(applast, "lastnew", 3)) == []
 
 
 def test_fi_triples_all_pairs(mutrec2=None):
     trs = load_corpus("mutrec2.trs")
-    triples = fi_triples(trs, "f", 1)
+    triples = list(fi_triples(trs, "f", 1))
     assert len(triples) == 3  # all three rule pairs unify up to arg 1
     pairs = [(t.rule1.label, t.rule2.label) for t in triples]
     assert pairs == [("r1", "r2"), ("r1", "r3"), ("r2", "r3")]
@@ -346,3 +361,143 @@ def test_analyze_does_not_call_the_library_cases(bogus, plus_minus, monkeypatch)
     monkeypatch.setattr(analysis, "pattern_case", fail)
     assert analyze(bogus).redundant == {"loop": frozenset({2})}
     assert analyze(plus_minus).redundant == {"minus_pe": frozenset({1})}
+
+
+# --- the worklist fixpoint against the round-by-round one ------------------
+
+def reference_fi_triples(trs, fname, i):
+    """Every triple of (f,i), built before any is checked: each pair of
+    rules is renamed apart and unified, with no clash test."""
+    rules = trs.rules_by_root.get(fname, ())
+    triples = []
+    for j, rule1 in enumerate(rules):
+        vars1 = var_names(rule1.lhs) | var_names(rule1.rhs)
+        for rule2 in rules[j + 1:]:
+            renamed = _rename_apart(rule2, vars1)
+            sigma = unify_up_to_arg(rule1.lhs, renamed.lhs, i)
+            if sigma is not None:
+                triples.append(FITriple(rule1, renamed, sigma, trs.symbol_map[fname], i))
+    return triples
+
+
+def reference_triple_verdict(trs, fname, i, fuel):
+    evidence, verdict = [], True
+    for triple in reference_fi_triples(trs, fname, i):
+        evidence.append(check_triple(trs, triple, trs.designated_constants, fuel=fuel))
+        if evidence[-1].joinable is False:
+            return False, tuple(evidence)
+        if evidence[-1].joinable is None:
+            verdict = None
+    return verdict, tuple(evidence)
+
+
+def reference_analyze(trs, fuel=DEFAULT_FUEL, candidate_order=None):
+    """The fixpoint that judges every candidate in every round."""
+    notes, var_ok, pat_ok = _gating_notes(build_property_report(trs, fuel=fuel))
+    candidates = list(candidate_order) if candidate_order is not None else [
+        (f.name, i) for f in trs.defined for i in range(1, f.arity + 1)]
+    verdicts, known, justifications = {}, {}, {}
+    rounds = 0
+    while True:
+        rounds += 1
+        additions, indeterminate = [], set()
+        for fname, i in candidates:
+            if i in known.get(fname, frozenset()):
+                continue
+            variable = var_ok and all(isinstance(r.lhs.args[i - 1], Var)
+                                      for r in trs.rules_by_root.get(fname, ()))
+            if not (variable or pat_ok) or not _arg_vars_redundant(trs, fname, i, known):
+                continue
+            if variable:
+                additions.append((fname, i, Justification("variable-case", rounds)))
+                continue
+            if (fname, i) not in verdicts:
+                try:
+                    verdicts[(fname, i)] = reference_triple_verdict(trs, fname, i, fuel)
+                except NoGroundConstant as exc:
+                    verdicts[(fname, i)] = exc
+            cached = verdicts[(fname, i)]
+            if isinstance(cached, NoGroundConstant):
+                note = f"pattern case skipped for ({fname},{i}): {cached}"
+                if note not in notes:
+                    notes.append(note)
+                continue
+            verdict, evidence = cached
+            if verdict is True:
+                additions.append((fname, i, Justification("pattern-case", rounds, evidence)))
+            elif verdict is None:
+                indeterminate.add((fname, i))
+        if not additions:
+            break
+        for fname, i, just in additions:
+            known[fname] = known.get(fname, frozenset()) | {i}
+            justifications[(fname, i)] = just
+    return AnalysisResult(known, justifications, tuple(notes),
+                          tuple(sorted(indeterminate)), rounds)
+
+
+def assert_same_analysis(trs, **kwargs):
+    result, reference = analyze(trs, **kwargs), reference_analyze(trs, **kwargs)
+    assert result == reference
+    # the same justifications in the same order, rounds and evidence included
+    assert list(result.justifications.items()) == list(reference.justifications.items())
+    return result
+
+
+SYSTEMS = {**{relpath: (lambda relpath=relpath: load_corpus(relpath)) for relpath in CORPUS_FILES},
+           **GENERATED, "accumulator_chain9": lambda: accumulator_chain(9)}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_analyze_agrees_with_the_round_by_round_fixpoint(name):
+    trs = SYSTEMS[name]()
+    assert_same_analysis(trs)
+    candidates = [(f.name, i) for f in trs.defined for i in range(1, f.arity + 1)]
+    random.Random(name).shuffle(candidates)
+    assert_same_analysis(trs, candidate_order=candidates)
+
+
+def test_analyze_agrees_with_the_round_by_round_fixpoint_without_fuel(applast):
+    # (lastnew, 2) stays indeterminate from its first round to the last
+    result = assert_same_analysis(applast, fuel=0)
+    assert ("lastnew", 2) in result.indeterminate
+
+
+# --- the work of a round and of a candidate, counted ------------------------
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls of module functions: calls(module, name) patches
+    the function and returns the counter it adds to."""
+    def count(module, name):
+        counter = [0]
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counter[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return counter
+    return count
+
+
+def test_analyze_rejudges_only_the_candidates_a_round_can_change(calls):
+    import redarg.analysis as analysis
+
+    judged = calls(analysis, "_arg_vars_redundant")
+    counts = []
+    for m in (200, 400):
+        judged[0] = 0
+        assert analyze(symbol_chain(m)).rounds == m + 2
+        counts.append(judged[0])
+    assert counts[1] / counts[0] <= 2.2
+
+
+def test_analyze_checks_triples_up_to_the_first_that_does_not_join(calls):
+    import redarg.analysis as analysis
+
+    unified = calls(analysis, "unify_up_to_arg")
+    assert analyze(table(6)).redundant == {}
+    # the first pair of rows whose other argument agrees does not join
+    assert unified[0] <= 2

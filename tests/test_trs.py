@@ -6,6 +6,7 @@ from redarg import (
     NotAConstructorSystem,
     ParseError,
     RedargError,
+    Trs,
     Var,
     WellFormednessError,
     build_property_report,
@@ -23,7 +24,7 @@ from redarg import (
 from redarg.terms import instantiate, iter_positions, replace, unify, var_names
 from redarg.trs import CriticalPair, _read_term, _rename_apart, canonical_rule
 
-from conftest import CORPUS, load_corpus
+from conftest import CORPUS, GENERATED, load_corpus, table
 
 CORPUS_SYSTEMS = sorted(str(p.relative_to(CORPUS)) for p in CORPUS.glob("**/*.trs"))
 
@@ -317,6 +318,36 @@ def test_critical_pairs_agree_with_unfiltered_loop_on_nested_overlaps():
     cps = critical_pairs(trs)
     assert cps == reference_critical_pairs(trs)
     assert sorted({cp.position for cp in cps}) == [(), (1,), (2,)]
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_critical_pairs_agree_with_unfiltered_loop_on_generated_systems(name):
+    trs = GENERATED[name]()
+    assert critical_pairs(trs) == reference_critical_pairs(trs)
+
+
+def test_critical_pairs_of_rules_equal_but_for_their_labels():
+    trs = parse_trs(NAT_SYSTEM + "rule plus(Z, y) -> y\n")
+    cps = critical_pairs(trs)
+    assert cps == reference_critical_pairs(trs)
+    # the third rule overlaps the first at the root, and only that way round
+    assert [(format_term(cp.left), format_term(cp.right), cp.position)
+            for cp in cps] == [("y'", "y'", ())]
+    # the same rule twice: the pair comes from the indices, not from equality
+    twice = Trs(trs.sorts, trs.symbols, (trs.rules[0], trs.rules[0]), True)
+    assert critical_pairs(twice) == reference_critical_pairs(twice)
+    assert len(critical_pairs(twice)) == 1
+
+
+def test_critical_pairs_skip_rules_that_clash(monkeypatch):
+    import redarg.trs as trs_module
+
+    def fail(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(trs_module, "unify", fail)
+    monkeypatch.setattr(trs_module, "_rename_apart", fail)
+    assert critical_pairs(table(6)) == []
 
 
 def test_confluence_orthogonal(applast, noncs):
