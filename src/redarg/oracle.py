@@ -31,6 +31,22 @@ def plug(context: Term, t: Term) -> Term:
     return instantiate(context, {HOLE_NAME: t})
 
 
+def _level(
+    d: int, shapes: list[tuple[FuncSymbol, list[list[Term]]]], depth_of: dict[Term, int]
+) -> list[Term]:
+    """Every f(args) with args drawn from f's pools, shape by shape,
+    whose deepest argument has depth d - 1; each is recorded in depth_of
+    at depth d."""
+    level: list[Term] = []
+    for f, pools in shapes:
+        for args in product(*pools):
+            if max((depth_of[a] for a in args), default=0) == d - 1:
+                t = App(f, args)
+                level.append(t)
+                depth_of[t] = d
+    return level
+
+
 def _ground_terms_by_sort(
     trs: Trs, depth: int
 ) -> tuple[dict[Sort, list[Term]], dict[Term, int]]:
@@ -40,21 +56,8 @@ def _ground_terms_by_sort(
     by_sort: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
     depth_of: dict[Term, int] = {}
     for d in range(1, depth + 1):
-        level: list[Term] = []
-        for f in trs.symbols:
-            if f.arity == 0:
-                if d == 1:
-                    t = App(f, ())
-                    level.append(t)
-                    depth_of[t] = 1
-                continue
-            for args in product(*(by_sort.get(s, []) for s in f.arg_sorts)):
-                if max(depth_of[a] for a in args) != d - 1:
-                    continue
-                t = App(f, args)
-                level.append(t)
-                depth_of[t] = d
-        for t in level:
+        shapes = [(f, [by_sort.get(s, []) for s in f.arg_sorts]) for f in trs.symbols]
+        for t in _level(d, shapes, depth_of):
             by_sort[t.symbol.result_sort].append(t)
     return by_sort, depth_of
 
@@ -83,16 +86,13 @@ def enumerate_contexts(trs: Trs, hole_sort: Sort, depth: int) -> list[Term]:
         # contexts known so far are all shallower than d; ground terms
         # are filtered to the same bound
         shallower = {s: [t for t in ts if depth_of[t] < d] for s, ts in ground.items()}
-        level: list[Term] = []
+        shapes = []
         for f in trs.symbols:
             for slot in range(f.arity):
                 pools = [shallower.get(s, []) for s in f.arg_sorts]
                 pools[slot] = ctx_by_sort.get(f.arg_sorts[slot], [])
-                for args in product(*pools):
-                    if max(depth_of[a] for a in args) == d - 1:
-                        c = App(f, args)
-                        level.append(c)
-                        depth_of[c] = d
+                shapes.append((f, pools))
+        level = _level(d, shapes, depth_of)
         for c in level:
             ctx_by_sort.setdefault(c.symbol.result_sort, []).append(c)
         all_contexts.extend(level)
@@ -205,7 +205,6 @@ def random_ground_term(
     if sort not in least or least[sort][0] > depth:
         raise EmptySort(f"sort {sort} has no ground terms of depth <= {depth}")
     roots = trs.ground_roots
-    fits: dict[tuple[Sort, int], list[FuncSymbol]] = {}
     # draw the symbols in preorder; past the cap, a least ground term
     # stands for a whole argument
     drawn: list = []
@@ -215,9 +214,10 @@ def random_ground_term(
         if len(drawn) >= MAX_RANDOM_TERM_SYMBOLS:
             drawn.append(least[task[0]][1])
             continue
-        if (candidates := fits.get(task)) is None:
+        if (candidates := roots.get(task)) is None:
             s, budget = task
-            candidates = fits[task] = [f for f, d in roots[s] if d <= budget]
+            candidates = roots[task] = [f for f in trs.symbols if f.result_sort == s and all(
+                a in least and least[a][0] < budget for a in f.arg_sorts)]
         f = rng.choice(candidates)
         drawn.append(f)
         if f.arg_sorts:

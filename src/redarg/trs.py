@@ -121,17 +121,11 @@ class Trs:
         return _least_depth_terms(self.symbols)
 
     @cached_property
-    def ground_roots(self) -> dict[Sort, tuple[tuple[FuncSymbol, int], ...]]:
-        """Per sort, the symbols of that result sort that root a ground
-        term, in declaration order, each with the least depth of such a
-        term."""
-        least = self.least_ground_terms
-        roots: dict[Sort, list[tuple[FuncSymbol, int]]] = {}
-        for f in self.symbols:
-            if all(s in least for s in f.arg_sorts):
-                d = 1 + max((least[s][0] for s in f.arg_sorts), default=0)
-                roots.setdefault(f.result_sort, []).append((f, d))
-        return {s: tuple(fs) for s, fs in roots.items()}
+    def ground_roots(self) -> dict[tuple[Sort, int], list[FuncSymbol]]:
+        """Per (sort, depth budget) asked for so far, the symbols of that
+        result sort, in declaration order, that root a ground term of
+        depth <= the budget; filled by oracle.random_ground_term."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ def load_corpus(relpath: str) -> Trs:
     return parse_trs((CORPUS / relpath).read_text())
 
 
+CORPUS_FILES = sorted(str(p.relative_to(CORPUS)) for p in CORPUS.rglob("*.trs"))
+
+
 NAT = ["sort Nat", "cons Z : Nat", "cons S : Nat -> Nat"]
 LIST = NAT + ["sort List", "cons nil : List", "cons cons : Nat List -> List"]
 

@@ -34,7 +34,7 @@ from redarg.rewrite import DEFAULT_FUEL
 from redarg.terms import unify_up_to_arg, var_names
 from redarg.trs import _rename_apart, build_property_report
 
-from conftest import CORPUS, GENERATED, load_corpus, symbol_chain, table
+from conftest import CORPUS, CORPUS_FILES, GENERATED, load_corpus, symbol_chain, table
 
 
 # --- per-variable test ------------------------------------------------------
@@ -323,9 +323,6 @@ def test_analyze_checks_the_triples_of_a_candidate_once(bogus, monkeypatch):
     monkeypatch.setattr(analysis, "fi_triples", counted)
     assert analyze(bogus).rounds == 2
     assert calls == [("loop", 3)]
-
-
-CORPUS_FILES = sorted(str(p.relative_to(CORPUS)) for p in CORPUS.rglob("*.trs"))
 
 
 @pytest.mark.parametrize("relpath", CORPUS_FILES)

@@ -2,6 +2,7 @@
 differential verification of erasures."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,9 +18,9 @@ from redarg import (
     enumerate_ground_terms,
 )
 from redarg.oracle import HOLE_NAME, hole, plug, random_ground_term
-from redarg.terms import Var, fold, vars_of
+from redarg.terms import App, Var, fold, vars_of
 
-from conftest import load_corpus
+from conftest import CORPUS_FILES, load_corpus
 
 SMALL = EnumBounds(ctx_depth=2, term_depth=2)
 
@@ -85,6 +86,72 @@ def test_plug_and_depth(plus_minus):
     assert term_depth(hole("Nat")) == 0
     assert term_depth(c) == 1
     assert term_depth(plug(c, t)) == 2
+
+
+# The level loops that enumeration used before terms and contexts shared
+# one level builder, kept as the reference for its order.
+
+def reference_ground_terms_by_sort(trs, depth):
+    by_sort = {s: [] for s in trs.sorts}
+    depth_of = {}
+    for d in range(1, depth + 1):
+        level = []
+        for f in trs.symbols:
+            if f.arity == 0:
+                if d == 1:
+                    t = App(f, ())
+                    level.append(t)
+                    depth_of[t] = 1
+                continue
+            for args in product(*(by_sort.get(s, []) for s in f.arg_sorts)):
+                if max(depth_of[a] for a in args) != d - 1:
+                    continue
+                t = App(f, args)
+                level.append(t)
+                depth_of[t] = d
+        for t in level:
+            by_sort[t.symbol.result_sort].append(t)
+    return by_sort, depth_of
+
+
+def reference_enumerate_contexts(trs, hole_sort, depth):
+    ground, depth_of = reference_ground_terms_by_sort(trs, depth - 1)
+    empty = hole(hole_sort)
+    depth_of[empty] = 0
+    ctx_by_sort = {s: [] for s in trs.sorts}
+    ctx_by_sort[hole_sort] = [empty]
+    all_contexts = [empty]
+    for d in range(1, depth + 1):
+        shallower = {s: [t for t in ts if depth_of[t] < d] for s, ts in ground.items()}
+        level = []
+        for f in trs.symbols:
+            for slot in range(f.arity):
+                pools = [shallower.get(s, []) for s in f.arg_sorts]
+                pools[slot] = ctx_by_sort.get(f.arg_sorts[slot], [])
+                for args in product(*pools):
+                    if max(depth_of[a] for a in args) == d - 1:
+                        c = App(f, args)
+                        level.append(c)
+                        depth_of[c] = d
+        for c in level:
+            ctx_by_sort.setdefault(c.symbol.result_sort, []).append(c)
+        all_contexts.extend(level)
+    return all_contexts
+
+
+@pytest.mark.parametrize("relpath", CORPUS_FILES)
+def test_enumeration_agrees_with_the_separate_level_loops(relpath):
+    trs = load_corpus(relpath)
+    for depth in range(4):
+        by_sort = reference_ground_terms_by_sort(trs, depth)[0]
+        for sort in trs.sorts:
+            if by_sort[sort]:
+                assert enumerate_ground_terms(trs, sort, depth) == by_sort[sort]
+            else:
+                with pytest.raises(EmptySort):
+                    enumerate_ground_terms(trs, sort, depth)
+            assert enumerate_contexts(trs, sort, depth) == \
+                reference_enumerate_contexts(trs, sort, depth)
 
 
 # --- the oracle -------------------------------------------------------------
@@ -169,6 +236,46 @@ def test_random_ground_term_pinned_draws(relpath, sort, depth, seed, draws):
     trs = load_corpus(relpath)
     rng = random.Random(seed)
     assert [str(random_ground_term(trs, sort, depth, rng)) for _ in draws] == draws
+
+
+def reference_ground_roots(trs):
+    """Per sort, the symbols that root a ground term, each with the
+    least depth of one: the table random_ground_term filtered by budget
+    before it kept one candidate list per (sort, budget)."""
+    least = trs.least_ground_terms
+    roots = {}
+    for f in trs.symbols:
+        if all(s in least for s in f.arg_sorts):
+            d = 1 + max((least[s][0] for s in f.arg_sorts), default=0)
+            roots.setdefault(f.result_sort, []).append((f, d))
+    return roots
+
+
+@pytest.mark.parametrize("relpath", CORPUS_FILES)
+def test_ground_roots_agree_with_the_least_depth_filter(relpath):
+    trs = load_corpus(relpath)
+    roots = reference_ground_roots(trs)
+    rng = random.Random(1)
+    asked = set()
+    for sort in roots:
+        for budget in range(trs.least_ground_terms[sort][0], 9):
+            for _ in range(5):
+                random_ground_term(trs, sort, budget, rng)
+            asked.add((sort, budget))
+    assert asked <= trs.ground_roots.keys()
+    for (sort, budget), candidates in trs.ground_roots.items():
+        assert candidates == [f for f, d in roots[sort] if d <= budget]
+
+
+def test_a_second_verify_adds_no_ground_roots_entry():
+    trs = load_corpus("applast.trs")
+    rho = sound_rho(trs)
+    differential_verify(trs, rho, trials=40, depth=6, seed=3)
+    first = dict(trs.ground_roots)
+    assert {("Nat", 6), ("List", 6)} <= first.keys()
+    differential_verify(trs, rho, trials=40, depth=6, seed=4)
+    assert trs.ground_roots.keys() == first.keys()
+    assert all(trs.ground_roots[k] is v for k, v in first.items())
 
 
 def test_random_ground_term_bounds(applast):
