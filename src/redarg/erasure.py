@@ -61,26 +61,26 @@ def erasure_table(
 def erase_term(t: Term, table: ErasureTable) -> Term:
     """The homomorphic erasure: variables unchanged, erased argument
     positions dropped, surviving arguments kept in order.  Iterative and
-    bottom-up like terms.fold, but it never enters an erased argument."""
-    # a pushed table entry builds its image from the last results
+    bottom-up like terms.fold, but it never enters an erased argument,
+    and a node that loses nothing is handed back, not rebuilt."""
+    # a pushed (node, image symbol, n) builds its image from the last n results
     done: list[Term] = []
     stack: list = [t]
     while stack:
         u = stack.pop()
         if isinstance(u, tuple):
-            symbol, keep = u
-            n = len(keep)
+            u, symbol, n = u
             args = tuple(done[len(done) - n :])
             del done[len(done) - n :]
-            done.append(App(symbol, args))
+            done.append(u if args == u.args else App(symbol, args))
         elif isinstance(u, Var) or not u.args:
             # a variable or a constant is its own image
             done.append(u)
         else:
-            entry = table[u.symbol.name]
-            stack.append(entry)
+            symbol, keep = table[u.symbol.name]
+            stack.append((u, symbol, len(keep)))
             args = u.args
-            stack.extend(args[k] for k in reversed(entry[1]))
+            stack.extend(args[k] for k in reversed(keep))
     return done[0]
 
 

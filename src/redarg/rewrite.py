@@ -173,7 +173,9 @@ def _innermost(t: Term, trs: "Trs", fuel: int) -> EvalOutcome:
     to (normal form, steps).  A hit stands for its steps only when they
     all fit in the fuel left; otherwise the node is rewritten as usual.
     When a frame's normal form is known, each node it built is stored.
-    The memo is cleared once it holds more than MEMO_CAP entries.
+    The goal and its subterms are looked up before they are walked,
+    since a key's arguments take no step.  The memo is cleared once it
+    holds more than MEMO_CAP entries.
     """
     if isinstance(t, Var):
         return _outcome(t, 0, None)
@@ -181,6 +183,9 @@ def _innermost(t: Term, trs: "Trs", fuel: int) -> EvalOutcome:
     memo = trs.normal_form_memo
     if len(memo) > MEMO_CAP:
         memo.clear()
+    found = memo.get(t)
+    if found is not None and found[1] <= fuel:
+        return _outcome(found[0], found[1], None)
     steps = 0
     stack: list[list] = [[t, _NO_BINDINGS, [], []]]
     while True:
@@ -190,6 +195,11 @@ def _innermost(t: Term, trs: "Trs", fuel: int) -> EvalOutcome:
             a = targs[len(args)]
             if isinstance(a, Var):
                 args.append(sigma.get(a.name, a))
+                continue
+            found = memo.get(a) if sigma is _NO_BINDINGS else None
+            if found is not None and steps + found[1] <= fuel:
+                args.append(found[0])
+                steps += found[1]
             else:
                 stack.append([a, sigma, [], []])
             continue

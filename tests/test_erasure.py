@@ -1,5 +1,7 @@
 """Erasure of argument positions and the compression pass."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,8 @@ from redarg import (
     reduced_erasure,
     rules_alpha_equal,
 )
-from conftest import load_corpus
+from redarg.oracle import differential_verify, random_ground_term
+from conftest import CORPUS_FILES, load_corpus
 
 
 # --- the erasure map --------------------------------------------------------
@@ -51,6 +54,94 @@ def test_erase_term(applast):
     t = parse_term("lastnew(S(x), cons(Z, nil), lastnew(y, nil, z))", applast)
     assert format_term(erase_term(t, table)) == "lastnew'(lastnew'(z))"
     assert erase_term(Var("q", "Nat"), table) == Var("q", "Nat")
+
+
+def reference_erase_term(t, table):
+    """erase_term building every image with arguments through App, as it
+    did before it handed back unchanged nodes."""
+    done = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, tuple):
+            symbol, keep = u
+            n = len(keep)
+            args = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+            done.append(App(symbol, args))
+        elif isinstance(u, Var) or not u.args:
+            done.append(u)
+        else:
+            entry = table[u.symbol.name]
+            stack.append(entry)
+            stack.extend(u.args[k] for k in reversed(entry[1]))
+    return done[0]
+
+
+def single_position_rhos(trs):
+    """The empty erasure, then each one-argument erasure of trs."""
+    yield {}
+    for f in trs.symbols:
+        for i in range(1, f.arity + 1):
+            yield {f.name: frozenset({i})}
+
+
+def sample_terms(trs, rng):
+    """Every rule side, and ten random ground terms of each inhabited
+    sort at depth 6."""
+    terms = [side for rule in trs.rules for side in (rule.lhs, rule.rhs)]
+    for sort, (least, _) in trs.least_ground_terms.items():
+        if least <= 6:
+            terms += [random_ground_term(trs, sort, 6, rng) for _ in range(10)]
+    return terms
+
+
+@pytest.mark.parametrize("relpath", CORPUS_FILES)
+def test_erase_term_agrees_with_rebuilding_every_node(relpath):
+    trs = load_corpus(relpath)
+    terms = sample_terms(trs, random.Random(relpath))
+    for rho in single_position_rhos(trs):
+        table = erasure_table(trs, rho, "'")
+        for t in terms:
+            assert erase_term(t, table) == reference_erase_term(t, table)
+
+
+def test_erasing_what_loses_nothing_builds_no_node(applast, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return App(*args)
+
+    table = erasure_table(applast, {"lastnew": {1, 2}}, "'")
+    kept = parse_term("applast(cons(S(x), cons(Z, nil)), S(S(y)))", applast)
+    cut = parse_term("S(S(lastnew(Z, nil, S(Z))))", applast)
+    everything = {}
+    for relpath in CORPUS_FILES:
+        trs = load_corpus(relpath)
+        everything[relpath] = (sample_terms(trs, random.Random(relpath)),
+                               erasure_table(trs, {}))
+    monkeypatch.setattr("redarg.erasure.App", counted)
+    assert erase_term(kept, table) is kept
+    for terms, identity in everything.values():
+        for t in terms:
+            assert erase_term(t, identity) is t
+    assert calls == []
+    # only the nodes on the path to a lost argument are built
+    assert format_term(erase_term(cut, table)) == "S(S(lastnew'(S(Z))))"
+    assert [symbol.name for symbol, _ in calls] == ["lastnew'", "S", "S"]
+
+
+@pytest.mark.parametrize("relpath", CORPUS_FILES)
+def test_verify_reports_do_not_depend_on_handing_back_nodes(relpath, monkeypatch):
+    trs = load_corpus(relpath)
+    rhos = [analyze(trs).redundant, *single_position_rhos(trs)]
+    # a small fuel, since an unsound erasure can loop on every trial
+    got = [differential_verify(trs, rho, trials=40, fuel=200) for rho in rhos]
+    monkeypatch.setattr("redarg.oracle.erase_term", reference_erase_term)
+    monkeypatch.setattr("redarg.erasure.erase_term", reference_erase_term)
+    trs = load_corpus(relpath)
+    assert [differential_verify(trs, rho, trials=40, fuel=200) for rho in rhos] == got
 
 
 def test_erasure_table_rejects_bad_index(applast):

@@ -8,7 +8,9 @@ from redarg import (
     App,
     Var,
     WellFormednessError,
+    analyze,
     bounded_semantics,
+    erase_trs,
     instantiate,
     match,
     normalize,
@@ -16,7 +18,7 @@ from redarg import (
     parse_trs,
     rewrite_step,
 )
-from redarg.oracle import random_ground_term
+from redarg.oracle import differential_verify, random_ground_term
 from redarg.rewrite import (
     DEFAULT_FUEL,
     DEFAULT_MAX_TERMS,
@@ -27,7 +29,7 @@ from redarg.rewrite import (
     successors,
 )
 
-from conftest import CORPUS, load_corpus
+from conftest import CORPUS, GENERATED, load_corpus
 
 STRATEGY_DEMO = parse_trs(
     "sort N\n"
@@ -273,6 +275,73 @@ def test_normal_form_memo_is_cleared_at_its_cap(monkeypatch):
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
+def stored_goals(trs, rng):
+    """Goals built from the nodes trs.normal_form_memo holds: some stored
+    nodes themselves, and each symbol over stored nodes and random
+    ground terms of its argument sorts."""
+    stored = list(trs.normal_form_memo)
+    least = trs.least_ground_terms
+    goals = rng.sample(stored, min(10, len(stored)))
+    for f in [f for f in trs.symbols if f.arity] * 3:
+        args = []
+        for sort in f.arg_sorts:
+            pool = [u for u in stored if u.sort == sort]
+            if pool and rng.random() < 0.7:
+                args.append(rng.choice(pool))
+            else:
+                budget = max(least[sort][0], rng.randint(1, 4))
+                args.append(random_ground_term(trs, sort, budget, rng))
+        goals.append(App(f, tuple(args)))
+    return goals
+
+
+@pytest.mark.parametrize("relpath", CORPUS_SYSTEMS)
+def test_goal_subterm_lookups_are_exact(relpath):
+    warm, fresh = load_corpus(relpath), load_corpus(relpath)
+    rng = random.Random(relpath)
+    for _ in range(25):
+        normalize(random_term(warm, rng, open_term=False), warm)
+    memo = warm.normal_form_memo
+    goals = stored_goals(warm, rng)
+    assert any(goal in memo for goal in goals)
+    # a stored argument that takes steps: at a fuel below them its hit
+    # does not fit, and the run must stop where it would without the memo
+    taken = {sort for f in warm.symbols for sort in f.arg_sorts}
+    if any(k for key, (_, k) in memo.items() if key.sort in taken):
+        assert any(a in memo and memo[a][1] for goal in goals for a in goal.args)
+    for goal in goals:
+        want = outcome_key(cold(goal, fresh))
+        for fuel in range(want[2] + 2):
+            expected = outcome_key(cold(goal, fresh, fuel=fuel))
+            assert reference_normalize(goal, warm, fuel)[:3] == expected
+            assert outcome_key(normalize(goal, warm, fuel=fuel)) == expected
+
+
+VERIFIED = {**{relpath: lambda relpath=relpath: load_corpus(relpath)
+               for relpath in CORPUS_SYSTEMS}, **GENERATED}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIED))
+def test_memo_keys_have_normal_form_arguments(name, monkeypatch):
+    """After verify, every key of either system's memo is a node whose
+    arguments have no redex.  Storing goal subterms as keys too would
+    keep every trial term alive."""
+    trs = VERIFIED[name]()
+    systems = [trs]
+
+    def kept(*args, **kwargs):
+        systems.append(erase_trs(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr("redarg.oracle.erase_trs", kept)
+    differential_verify(trs, analyze(trs).redundant)
+    assert len(systems) == 2 and trs.normal_form_memo
+    for system in systems:
+        for key in system.normal_form_memo:
+            for a in key.args:
+                assert rewrite_step(a, system) is None, (key, a)
+
+
 def nest(symbol, n, leaf):
     t = leaf
     for _ in range(n):
@@ -301,6 +370,35 @@ def test_normalize_deep_goal(plus_minus):
     assert (cut.kind, cut.steps) == ("fuel-exhausted", 1000)
     assert cut.term.symbol.name == "minus_pe"
     assert depth(cut.term.args[0]) == 2001 and cut.term.args[1] is big
+
+
+def test_a_stored_goal_walks_none_of_its_arguments(monkeypatch):
+    trs = load_corpus("plus_minus.trs")
+    sym = trs.symbol_map
+    zero = App(sym["Z"])
+    goal = App(sym["minus_pe"], (nest(sym["S"], 500, zero), nest(sym["S"], 200, zero)))
+    first = normalize(goal, trs)
+    assert (first.kind, first.steps, depth(first.term)) == ("value", 501, 201)
+    visits = [0]
+
+    class Counting(type):
+        """Counts the isinstance checks of the rewrite module, one per
+        argument it visits; a million of them fail here."""
+
+        def __instancecheck__(cls, obj):
+            visits[0] += 1
+            if visits[0] > 1_000_000:
+                raise AssertionError("normalization does not terminate")
+            return isinstance(obj, Var)
+
+    class CountedVar(metaclass=Counting):
+        pass
+
+    monkeypatch.setattr("redarg.rewrite.Var", CountedVar)
+    assert normalize(goal, trs) == first
+    # one check of the goal and one per node of the value (its kind);
+    # walking the arguments again would add their 702 nodes
+    assert visits[0] <= 1 + 201
 
 
 # --- joinability ------------------------------------------------------------
