@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Optional, Union
+from itertools import islice, product
+from typing import Iterator, Optional, Union
 
 from .errors import EmptySort
 from .erasure import erase_term, erase_trs, erasure_table
@@ -32,71 +32,66 @@ def plug(context: Term, t: Term) -> Term:
 
 
 def _level(
-    d: int, shapes: list[tuple[FuncSymbol, list[list[Term]]]], depth_of: dict[Term, int]
-) -> list[Term]:
-    """Every f(args) with args drawn from f's pools, shape by shape,
-    whose deepest argument has depth d - 1; each is recorded in depth_of
-    at depth d."""
+    d: int, shapes: list[tuple[FuncSymbol, list[list[Term]]]], depth_of: dict[Term, int],
+    pools: dict[Sort, list[Term]],
+) -> Iterator[Term]:
+    """Yield every f(args) with args drawn from f's pools, shape by
+    shape, whose deepest argument has depth d - 1, and record each in
+    depth_of at depth d; once the level is complete, add its terms to
+    the pools of their sorts."""
     level: list[Term] = []
-    for f, pools in shapes:
-        for args in product(*pools):
+    for f, arg_pools in shapes:
+        for args in product(*arg_pools):
             if max((depth_of[a] for a in args), default=0) == d - 1:
                 t = App(f, args)
                 level.append(t)
                 depth_of[t] = d
-    return level
+                yield t
+    for t in level:
+        pools[t.symbol.result_sort].append(t)
 
 
-def _ground_terms_by_sort(
-    trs: Trs, depth: int
-) -> tuple[dict[Sort, list[Term]], dict[Term, int]]:
-    """Every ground term (over the full signature) with depth <= the
-    bound, per sort in (depth, declaration) order, and the depth of
-    each."""
-    by_sort: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
-    depth_of: dict[Term, int] = {}
-    for d in range(1, depth + 1):
-        shapes = [(f, [by_sort.get(s, []) for s in f.arg_sorts]) for f in trs.symbols]
-        for t in _level(d, shapes, depth_of):
-            by_sort[t.symbol.result_sort].append(t)
-    return by_sort, depth_of
-
-
-def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> list[Term]:
-    """All ground terms of the sort (over the full signature, defined
-    symbols included) with depth <= the bound, ordered by depth first
-    and declaration order within a depth level."""
-    result = _ground_terms_by_sort(trs, depth)[0].get(sort)
-    if not result:
+def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> Iterator[Term]:
+    """An iterator over all ground terms of the sort (over the full
+    signature, defined symbols included) with depth <= the bound,
+    ordered by depth first and declaration order within a depth level.
+    Each level is built only once the one before it has been read, and
+    only over the sorts that a term of the sort can contain."""
+    least = trs.least_ground_terms
+    if sort not in least or least[sort][0] > depth:
         raise EmptySort(f"sort {sort} has no ground terms of depth <= {depth}")
-    return result
+    within, more = set(), {sort}
+    while more:
+        within |= more
+        more = {a for f in trs.symbols if f.result_sort in more for a in f.arg_sorts} - within
+    pools: dict[Sort, list[Term]] = {s: [] for s in within}
+    shapes = [(f, [pools[s] for s in f.arg_sorts]) for f in trs.symbols if f.result_sort in within]
+    depth_of: dict[Term, int] = {}
+    return (t for d in range(1, depth + 1) for t in _level(d, shapes, depth_of, pools)
+            if t.symbol.result_sort == sort)
 
 
-def enumerate_contexts(trs: Trs, hole_sort: Sort, depth: int) -> list[Term]:
-    """All one-hole contexts of depth <= the bound whose hole has the
-    given sort, the empty context first; the hole contributes zero to
-    depth.  Same canonical (depth, declaration) order as terms."""
-    ground, depth_of = _ground_terms_by_sort(trs, depth - 1)
+def enumerate_contexts(trs: Trs, hole_sort: Sort, depth: int) -> Iterator[Term]:
+    """An iterator over all one-hole contexts of depth <= the bound
+    whose hole has the given sort, the empty context first; the hole
+    contributes zero to depth.  Same canonical (depth, declaration)
+    order as terms, and built as lazily."""
     empty = hole(hole_sort)
-    depth_of[empty] = 0
-    ctx_by_sort: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
-    ctx_by_sort[hole_sort] = [empty]
-    all_contexts: list[Term] = [empty]
+    ground: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
+    contexts: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
+    contexts[hole_sort] = [empty]
+    depth_of: dict[Term, int] = {empty: 0}
+    ground_shapes = [(f, [ground[s] for s in f.arg_sorts]) for f in trs.symbols]
+    context_shapes = [
+        (f, [contexts[s] if k == slot else ground[s] for k, s in enumerate(f.arg_sorts)])
+        for f in trs.symbols for slot in range(f.arity)]
+    yield empty
     for d in range(1, depth + 1):
-        # contexts known so far are all shallower than d; ground terms
-        # are filtered to the same bound
-        shallower = {s: [t for t in ts if depth_of[t] < d] for s, ts in ground.items()}
-        shapes = []
-        for f in trs.symbols:
-            for slot in range(f.arity):
-                pools = [shallower.get(s, []) for s in f.arg_sorts]
-                pools[slot] = ctx_by_sort.get(f.arg_sorts[slot], [])
-                shapes.append((f, pools))
-        level = _level(d, shapes, depth_of)
-        for c in level:
-            ctx_by_sort.setdefault(c.symbol.result_sort, []).append(c)
-        all_contexts.extend(level)
-    return all_contexts
+        yield from _level(d, context_shapes, depth_of, contexts)
+        # context level d + 1 takes ground arguments of depth <= d
+        if d < depth:
+            for _ in _level(d, ground_shapes, depth_of, ground):
+                pass
 
 
 @dataclass(frozen=True)
@@ -143,14 +138,17 @@ def brute_force_redundant(
                    if s in least else "which has no ground terms")
             raise EmptySort(f"--term-depth {bounds.term_depth} admits no {sym.name} "
                             f"term: argument {k} has sort {s}, {why}")
-    contexts = enumerate_contexts(trs, sym.result_sort, bounds.ctx_depth)
-    arg_pools = [
-        enumerate_ground_terms(trs, s, bounds.term_depth - 1) for s in sym.arg_sorts
-    ]
-    subjects = [App(sym, args) for args in product(*arg_pools)]
-    replacements = enumerate_ground_terms(
-        trs, sym.arg_sorts[i - 1], bounds.term_depth
-    )
+    # A subject meets a case by its first or second replacement, and a
+    # context by its first subject, so max_cases cases read at most
+    # n = max_cases + 1 contexts, n subjects (none with an argument past
+    # the n-th of its pool) and n + 1 replacements.
+    n = bounds.max_cases + 1
+    replacements = list(islice(
+        enumerate_ground_terms(trs, sym.arg_sorts[i - 1], bounds.term_depth), n + 1))
+    if len(replacements) < 2:  # the one replacement is every subject's argument i
+        return NoCounterexampleUpTo(0, 0)
+    arg_pools = [list(islice(enumerate_ground_terms(trs, s, bounds.term_depth - 1), n))
+                 for s in sym.arg_sorts]
 
     seval_cache: dict[Term, tuple[frozenset[Term], bool]] = {}
 
@@ -164,8 +162,9 @@ def brute_force_redundant(
 
     cases = 0
     skipped = 0
-    for context in contexts:
-        for t in subjects:
+    for context in islice(enumerate_contexts(trs, sym.result_sort, bounds.ctx_depth), n):
+        for args in product(*arg_pools):
+            t = App(sym, args)
             for s in replacements:
                 if s == t.args[i - 1]:
                     continue

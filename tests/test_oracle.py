@@ -1,11 +1,18 @@
 """Brute-force ground truth: enumeration, the redundancy oracle, and
 differential verification of erasures."""
 
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import redarg
 from redarg import (
     Counterexample,
     EmptySort,
@@ -18,9 +25,10 @@ from redarg import (
     enumerate_ground_terms,
 )
 from redarg.oracle import HOLE_NAME, hole, plug, random_ground_term
-from redarg.terms import App, Var, fold, vars_of
+from redarg.rewrite import bounded_semantics
+from redarg.terms import App, Var, fold, replace, vars_of
 
-from conftest import CORPUS_FILES, load_corpus
+from conftest import CORPUS_FILES, corpus_path, load_corpus, run_cli
 
 SMALL = EnumBounds(ctx_depth=2, term_depth=2)
 
@@ -33,7 +41,7 @@ def term_depth(t):
 # --- enumeration ------------------------------------------------------------
 
 def test_enumerate_ground_terms_order(plus_minus):
-    terms = enumerate_ground_terms(plus_minus, "Nat", 3)
+    terms = list(enumerate_ground_terms(plus_minus, "Nat", 3))
     assert len(terms) == 13
     assert [str(t) for t in terms[:8]] == [
         "Z",
@@ -64,7 +72,7 @@ def test_enumerate_ground_terms_empty(plus_minus):
 
 
 def test_enumerate_contexts(plus_minus):
-    ctxs = enumerate_contexts(plus_minus, "Nat", 2)
+    ctxs = list(enumerate_contexts(plus_minus, "Nat", 2))
     assert [str(c) for c in ctxs] == [
         "[]",
         "S([])",
@@ -80,8 +88,8 @@ def test_enumerate_contexts(plus_minus):
 
 
 def test_plug_and_depth(plus_minus):
-    c = enumerate_contexts(plus_minus, "Nat", 2)[1]  # S([])
-    t = enumerate_ground_terms(plus_minus, "Nat", 1)[0]  # Z
+    c = list(enumerate_contexts(plus_minus, "Nat", 2))[1]  # S([])
+    t = list(enumerate_ground_terms(plus_minus, "Nat", 1))[0]  # Z
     assert str(plug(c, t)) == "S(Z)"
     assert term_depth(hole("Nat")) == 0
     assert term_depth(c) == 1
@@ -146,11 +154,11 @@ def test_enumeration_agrees_with_the_separate_level_loops(relpath):
         by_sort = reference_ground_terms_by_sort(trs, depth)[0]
         for sort in trs.sorts:
             if by_sort[sort]:
-                assert enumerate_ground_terms(trs, sort, depth) == by_sort[sort]
+                assert list(enumerate_ground_terms(trs, sort, depth)) == by_sort[sort]
             else:
                 with pytest.raises(EmptySort):
                     enumerate_ground_terms(trs, sort, depth)
-            assert enumerate_contexts(trs, sort, depth) == \
+            assert list(enumerate_contexts(trs, sort, depth)) == \
                 reference_enumerate_contexts(trs, sort, depth)
 
 
@@ -210,6 +218,127 @@ def test_oracle_is_capped_only_when_cases_remain(applast):
     assert (exact.cases_checked, exact.capped) == (11, False)
     short = brute_force_redundant(applast, "applast", 1, EnumBounds(2, 2, max_cases=10))
     assert (short.cases_checked, short.capped) == (10, True)
+
+
+# `redarg oracle` in a child process whose address space is capped at
+# 1.5 GB: a search that builds more than the case cap can reach ends in
+# a MemoryError or the timeout, not in an answer.
+ADDRESS_SPACE = 1_500_000_000
+
+
+def limit_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(ADDRESS_SPACE, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def oracle_in_a_child(*argv):
+    paths = [str(Path(redarg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    run = subprocess.run(
+        [sys.executable, "-m", "redarg.cli", "oracle", *argv, "--json"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
+    return run.returncode, run.stdout, run.stderr
+
+
+@pytest.mark.parametrize("bound", [["--term-depth", "9"], ["--ctx-depth", "6"]])
+def test_the_case_cap_bounds_what_the_oracle_builds(bound):
+    # bogus has 26,524,914,094,591 Nat terms of depth <= 5
+    code, out, err = oracle_in_a_child(corpus_path("bogus.trs"), "-f", "loop", "-i", "2",
+                                       *bound, "--max-cases", "5")
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["cases_checked"], report["capped"]) == (5, True)
+
+
+def test_a_deep_context_bound_finds_the_same_counterexample():
+    # four_rules has 13,410,205 AB contexts of depth <= 5
+    argv = [corpus_path("negative/four_rules.trs"), "-f", "f", "-i", "1"]
+    code, out, err = oracle_in_a_child(*argv, "--ctx-depth", "5")
+    assert code == 1, err
+    shallow = run_cli("oracle", *argv, "--json")
+    assert shallow[0] == 1
+    assert json.loads(out)["counterexample"] == json.loads(shallow[1])["counterexample"]
+
+
+def test_a_single_replacement_checks_no_case(tmp_path):
+    # u is the only U term, and so every subject's first argument; the
+    # second argument's pool, Nat of depth <= 7, holds about 1.3e18 terms
+    path = tmp_path / "one_u.trs"
+    path.write_text("sort U\nsort Nat\ncons u : U\ncons z : Nat\ncons c : Nat Nat -> Nat\n"
+                    "fun f : U Nat -> Nat\npragma terminating\nrule f(x, y) -> y\n")
+    code, out, err = oracle_in_a_child(str(path), "-f", "f", "-i", "1", "--term-depth", "8")
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["cases_checked"], report["skipped_truncated"], report["capped"]) == (0, 0, False)
+
+
+# The oracle as it was before its pools were read lazily: every context,
+# subject and replacement listed before the case cap applies.  Its
+# bounded semantics are cached across calls on one system.
+
+def reference_brute_force_redundant(trs, fname, i, bounds, seval_cache):
+    sym = trs.symbol_map[fname]
+    least = trs.least_ground_terms
+    for k, s in enumerate(sym.arg_sorts, 1):
+        if s not in least or least[s][0] >= bounds.term_depth:
+            why = (f"whose shallowest ground term has depth {least[s][0]}"
+                   if s in least else "which has no ground terms")
+            raise EmptySort(f"--term-depth {bounds.term_depth} admits no {sym.name} "
+                            f"term: argument {k} has sort {s}, {why}")
+    contexts = reference_enumerate_contexts(trs, sym.result_sort, bounds.ctx_depth)
+    pools = reference_ground_terms_by_sort(trs, bounds.term_depth - 1)[0]
+    subjects = [App(sym, args) for args in product(*(pools[s] for s in sym.arg_sorts))]
+    replacements = reference_ground_terms_by_sort(trs, bounds.term_depth)[0][sym.arg_sorts[i - 1]]
+
+    def seval_of(t):
+        if t not in seval_cache:
+            sem = bounded_semantics(t, trs)
+            seval_cache[t] = (sem.seval, sem.truncated)
+        return seval_cache[t]
+
+    cases = skipped = 0
+    for context in contexts:
+        for t in subjects:
+            for s in replacements:
+                if s == t.args[i - 1]:
+                    continue
+                if cases >= bounds.max_cases:
+                    return NoCounterexampleUpTo(cases, skipped, capped=True)
+                cases += 1
+                before, tr1 = seval_of(plug(context, t))
+                after, tr2 = seval_of(plug(context, replace(t, (i,), s)))
+                if tr1 or tr2:
+                    skipped += 1
+                    continue
+                if before != after:
+                    return Counterexample(context, t, s, before, after)
+    return NoCounterexampleUpTo(cases, skipped)
+
+
+def verdict_or_error(search, *args):
+    try:
+        return search(*args)
+    except EmptySort as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("relpath", CORPUS_FILES)
+def test_oracle_agrees_with_the_listing_oracle(relpath):
+    # the case cap cuts every pool short: an off-by-one cut shows as a
+    # verdict that is capped one case early or late
+    trs = load_corpus(relpath)
+    seval_cache = {}
+    for f in trs.symbols:
+        if f.kind != "defined":
+            continue
+        for i in range(1, f.arity + 1):
+            for ctx_depth, term_depth in [(0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (3, 2)]:
+                for max_cases in [*range(13), 50_000]:
+                    bounds = EnumBounds(ctx_depth, term_depth, max_cases)
+                    assert verdict_or_error(brute_force_redundant, trs, f.name, i, bounds) == \
+                        verdict_or_error(reference_brute_force_redundant, trs, f.name, i, bounds,
+                                         seval_cache)
 
 
 # --- random ground terms ----------------------------------------------------
