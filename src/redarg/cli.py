@@ -354,7 +354,7 @@ def cmd_bench(args) -> Report:
             "status": "PASS" if redundant_ok and erased_ok else "FAIL",
             "redundant_ok": redundant_ok,
             "erased_ok": erased_ok,
-            "rarg": f"{count}/{count}",
+            "rarg": f"{count}/{sum(map(len, expected.values()))}",
             "published_rarg": entry.get("published_rarg"),
             "note": entry.get("note"),
         }

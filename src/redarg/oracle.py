@@ -31,9 +31,12 @@ def plug(context: Term, t: Term) -> Term:
     return instantiate(context, {HOLE_NAME: t})
 
 
+# a symbol, and the pool that each of its arguments is drawn from
+Shape = tuple[FuncSymbol, list[list[Term]]]
+
+
 def _level(
-    d: int, shapes: list[tuple[FuncSymbol, list[list[Term]]]], depth_of: dict[Term, int],
-    pools: dict[Sort, list[Term]],
+    d: int, shapes: list[Shape], depth_of: dict[Term, int], pools: dict[Sort, list[Term]],
 ) -> Iterator[Term]:
     """Yield every f(args) with args drawn from f's pools, shape by
     shape, whose deepest argument has depth d - 1, and record each in
@@ -51,21 +54,31 @@ def _level(
         pools[t.symbol.result_sort].append(t)
 
 
+def _check_inhabited(trs: Trs, sort: Sort, depth: int) -> None:
+    least = trs.least_ground_terms
+    if sort not in least or least[sort][0] > depth:
+        raise EmptySort(f"sort {sort} has no ground terms of depth <= {depth}")
+
+
+def _ground_shapes(trs: Trs, sorts: set[Sort]) -> tuple[dict[Sort, list[Term]], list[Shape]]:
+    """Empty pools for the sorts and every sort that a term of one of
+    them can contain, and the symbols of those sorts over the pools."""
+    pools: dict[Sort, list[Term]] = {}
+    more = sorts
+    while more:
+        pools.update((s, []) for s in more)
+        more = {a for f in trs.symbols if f.result_sort in more for a in f.arg_sorts} - pools.keys()
+    return pools, [(f, [pools[s] for s in f.arg_sorts]) for f in trs.symbols if f.result_sort in pools]
+
+
 def enumerate_ground_terms(trs: Trs, sort: Sort, depth: int) -> Iterator[Term]:
     """An iterator over all ground terms of the sort (over the full
     signature, defined symbols included) with depth <= the bound,
     ordered by depth first and declaration order within a depth level.
     Each level is built only once the one before it has been read, and
     only over the sorts that a term of the sort can contain."""
-    least = trs.least_ground_terms
-    if sort not in least or least[sort][0] > depth:
-        raise EmptySort(f"sort {sort} has no ground terms of depth <= {depth}")
-    within, more = set(), {sort}
-    while more:
-        within |= more
-        more = {a for f in trs.symbols if f.result_sort in more for a in f.arg_sorts} - within
-    pools: dict[Sort, list[Term]] = {s: [] for s in within}
-    shapes = [(f, [pools[s] for s in f.arg_sorts]) for f in trs.symbols if f.result_sort in within]
+    _check_inhabited(trs, sort, depth)
+    pools, shapes = _ground_shapes(trs, {sort})
     depth_of: dict[Term, int] = {}
     return (t for d in range(1, depth + 1) for t in _level(d, shapes, depth_of, pools)
             if t.symbol.result_sort == sort)
@@ -75,16 +88,24 @@ def enumerate_contexts(trs: Trs, hole_sort: Sort, depth: int) -> Iterator[Term]:
     """An iterator over all one-hole contexts of depth <= the bound
     whose hole has the given sort, the empty context first; the hole
     contributes zero to depth.  Same canonical (depth, declaration)
-    order as terms, and built as lazily."""
+    order as terms, and built as lazily: contexts only over the
+    argument slots that can hold the hole, ground terms only of the
+    sorts that the other slots of those can contain."""
     empty = hole(hole_sort)
-    ground: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
-    contexts: dict[Sort, list[Term]] = {s: [] for s in trs.sorts}
+    # the sorts of the terms that can contain the hole
+    contexts: dict[Sort, list[Term]] = {}
+    more = {hole_sort}
+    while more:
+        contexts.update((s, []) for s in more)
+        more = {f.result_sort for f in trs.symbols if more & set(f.arg_sorts)} - contexts.keys()
     contexts[hole_sort] = [empty]
-    depth_of: dict[Term, int] = {empty: 0}
-    ground_shapes = [(f, [ground[s] for s in f.arg_sorts]) for f in trs.symbols]
+    slots = [(f, slot) for f in trs.symbols for slot, s in enumerate(f.arg_sorts) if s in contexts]
+    ground, ground_shapes = _ground_shapes(
+        trs, {s for f, slot in slots for k, s in enumerate(f.arg_sorts) if k != slot})
     context_shapes = [
         (f, [contexts[s] if k == slot else ground[s] for k, s in enumerate(f.arg_sorts)])
-        for f in trs.symbols for slot in range(f.arity)]
+        for f, slot in slots]
+    depth_of: dict[Term, int] = {empty: 0}
     yield empty
     for d in range(1, depth + 1):
         yield from _level(d, context_shapes, depth_of, contexts)
@@ -200,9 +221,8 @@ def random_ground_term(
     term can grow without end; after MAX_RANDOM_TERM_SYMBOLS draws,
     every open argument gets its sort's least ground term instead.
     """
+    _check_inhabited(trs, sort, depth)
     least = trs.least_ground_terms
-    if sort not in least or least[sort][0] > depth:
-        raise EmptySort(f"sort {sort} has no ground terms of depth <= {depth}")
     roots = trs.ground_roots
     # draw the symbols in preorder; past the cap, a least ground term
     # stands for a whole argument

@@ -33,6 +33,7 @@ from .terms import (
     format_term,
     instantiate,
     iter_positions,
+    match,
     repeated_variable,
     replace,
     unify,
@@ -508,102 +509,72 @@ def check_confluence(
     return "yes-knuth-bendix", None
 
 
-def _find_uncovered(
-    sorts: list[Sort],
-    rows: list[tuple[Term, ...]],
-    constructors_by_sort: dict[Sort, list[FuncSymbol]],
-    ground_rep: dict[Sort, Term],
-) -> Optional[list[Term]]:
-    """A constructor-term argument vector matched by no row, or None.
-
-    Rows are the lhs argument tuples of one defined symbol; variables
-    act as wildcards.  Case-splits on the first column's constructors
-    in declaration order, so the first witness is deterministic.
-    ground_rep supplies a ground term per realizable sort for witness
-    slots no row constrains.  Iterative, so a wide symbol cannot
-    exhaust the recursion limit.
-    """
-
-    def cases(sorts, rows):
-        """The subproblems of a split on the first column, in order,
-        each with what turns its witness into one here: a sort whose
-        ground term goes in front, or a constructor over its first
-        arguments."""
-        sort = sorts[0]
-        if all(isinstance(row[0], Var) for row in rows):
-            # the whole column is wildcards: it cannot discriminate, and
-            # splitting a recursive constructor here would never bottom out
-            yield sort, sorts[1:], [row[1:] for row in rows]
-            return
-        for c in constructors_by_sort.get(sort, []):
-            if any(s not in ground_rep for s in c.arg_sorts):
-                # no ground instance can start with this constructor
-                continue
-            specialized: list[tuple[Term, ...]] = []
-            for row in rows:
-                p = row[0]
-                if isinstance(p, Var):
-                    specialized.append(tuple(Var("_", s) for s in c.arg_sorts) + row[1:])
-                elif p.symbol == c:
-                    specialized.append(p.args + row[1:])
-            yield c, list(c.arg_sorts) + sorts[1:], specialized
-
-    splits: list[list] = []  # per open split: its untried cases, the case tried
-    while True:
-        if not rows:
-            found = [ground_rep[s] for s in sorts]
-            break
-        # a row of wildcards matches everything left (with no columns
-        # left, every row is one)
-        if not any(all(isinstance(p, Var) for p in row) for row in rows):
-            splits.append([cases(sorts, rows), None])
-        # backtrack to the innermost split with a case left
-        while splits and (case := next(splits[-1][0], None)) is None:
-            splits.pop()
-        if not splits:
-            return None
-        splits[-1][1], sorts, rows = case
-    for _, wrap in reversed(splits):
-        if isinstance(wrap, FuncSymbol):
-            k = wrap.arity
-            found[:k] = [App(wrap, tuple(found[:k]))]
-        else:
-            found.insert(0, ground_rep[wrap])
-    return found
-
-
-def check_completely_defined(
-    trs: Trs,
-) -> tuple[bool, Optional[Term], Optional[str]]:
+def check_completely_defined(trs: Trs) -> tuple[bool, Optional[Term], Optional[str]]:
     """Decide whether every defined symbol covers all constructor-ground
     argument tuples; returns an uncovered instance as witness when not.
 
     Requires a constructor system.  A defined symbol whose argument
     sort has no ground constructor term cannot be completely defined;
     that case is reported with a reason instead of a term witness.
+
+    A depth-first search splits the matrix of a symbol's lhs argument
+    tuples, variables as wildcards, on the constructors of its first
+    column in declaration order (Maranget, JFP 2007), so the first
+    witness is deterministic.  A lhs that repeats a variable is no row;
+    if one matches the witness, coverage is reported undecided.
     """
     cs, cs_witness = check_constructor_system(trs)
     if not cs:
-        raise NotAConstructorSystem(
-            f"not a constructor system (rule: {cs_witness})"
-        )
+        raise NotAConstructorSystem(f"not a constructor system (rule: {cs_witness})")
     ground_rep = trs.designated_constants
-    constructors_by_sort: dict[Sort, list[FuncSymbol]] = {}
+    # the constructors that start a ground term, by sort, in declaration order
+    starts: dict[Sort, list[FuncSymbol]] = {}
     for c in trs.constructors:
-        constructors_by_sort.setdefault(c.result_sort, []).append(c)
+        if all(s in ground_rep for s in c.arg_sorts):
+            starts.setdefault(c.result_sort, []).append(c)
     for f in trs.defined:
-        bad = [s for s in f.arg_sorts if s not in ground_rep]
-        if bad:
-            return False, None, (
-                f"{f.name}: argument sort {bad[0]} has no ground constructor terms"
-            )
-        rows = [r.lhs.args for r in trs.rules_by_root.get(f.name, ())]
-        witness_args = _find_uncovered(
-            list(f.arg_sorts), rows, constructors_by_sort, ground_rep
-        )
-        if witness_args is not None:
-            witness = App(f, tuple(witness_args))
-            return False, witness, f"{f.name} is not reducible on {witness}"
+        if bad := [s for s in f.arg_sorts if s not in ground_rep]:
+            return False, None, f"{f.name}: argument sort {bad[0]} has no ground constructor terms"
+        rules = trs.rules_by_root.get(f.name, ())
+        # frames (column sorts, rows, path); the path holds the splits
+        # taken, innermost first as nested pairs (split, path): a sort
+        # whose ground term goes in front, or a constructor over its
+        # first arguments
+        stack = [(f.arg_sorts, [r.lhs.args for r in rules if repeated_variable(r.lhs) is None], ())]
+        while stack:
+            sorts, rows, path = stack.pop()
+            if not rows:
+                break
+            # a row of wildcards matches everything left (with no
+            # columns left, every row is one)
+            if any(all(isinstance(p, Var) for p in row) for row in rows):
+                continue
+            if all(isinstance(row[0], Var) for row in rows):
+                # the column cannot discriminate, and splitting a
+                # recursive constructor here would never bottom out
+                stack.append((sorts[1:], [row[1:] for row in rows], (sorts[0], path)))
+                continue
+            # pushed in reverse, so that they pop in declaration order
+            for c in reversed(starts.get(sorts[0], [])):
+                wildcards = tuple(Var("_", s) for s in c.arg_sorts)
+                stack.append((c.arg_sorts + sorts[1:], [
+                    (wildcards if isinstance(row[0], Var) else row[0].args) + row[1:]
+                    for row in rows if isinstance(row[0], Var) or row[0].symbol == c
+                ], (c, path)))
+        else:
+            continue  # every frame is covered
+        found = [ground_rep[s] for s in sorts]
+        while path:
+            split, path = path
+            if isinstance(split, FuncSymbol):
+                found[:split.arity] = [App(split, tuple(found[:split.arity]))]
+            else:
+                found.insert(0, ground_rep[split])
+        witness = App(f, tuple(found))
+        # only a rule that is not left-linear can match it
+        if stuck := next((r for r in rules if match(r.lhs, witness) is not None), None):
+            return False, None, f"{f.name}: coverage not decided, as rule {stuck} is not left-linear"
+        return False, witness, f"{f.name} is not reducible on {witness}"
     return True, None, None
 
 

@@ -136,6 +136,24 @@ def test_check_coverage(cli, tmp_path, rules, verdict):
     assert out.splitlines()[2] == f"completely defined: {verdict}"
 
 
+def test_check_counts_no_rule_that_repeats_a_variable_as_cover(cli, tmp_path):
+    # f(Z, S(Z)) is a normal form, though f(x, x) matches f(Z, Z)
+    path = write_system(tmp_path, NAT + "fun f : Nat Nat -> Nat\npragma terminating\n"
+                        "rule f(x, x) -> Z\n")
+    rc, out, err = cli("check", path)
+    reason = "f: coverage not decided, as rule f(x, x) -> Z is not left-linear"
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "left-linear: no (variable x repeats in f(x, x) -> Z)",
+        "constructor system: yes",
+        f"completely defined: no ({reason})",
+        "confluent: yes-knuth-bendix",
+        f"seval-defined: no (not completely defined ({reason}))",
+        "terminating attested: yes",
+    ]
+    assert cli("eval", path, "-e", "f(Z, S(Z))")[1].startswith("normal-form f(Z, S(Z))")
+
+
 def test_check_fuel_zero_leaves_confluence_unknown(cli, tmp_path):
     # the critical pair <Z, g(Z)> joins in one step
     path = write_system(tmp_path, NAT + "fun f : Nat -> Nat\nfun g : Nat -> Nat\n"
@@ -571,6 +589,17 @@ def test_bench_golden(cli, corpus_dir):
         "mutrec2        PASS  rarg 1/1",
         "8/8 benchmarks pass",
     ]
+
+
+def test_bench_row_counts_the_positions_it_expects(cli, tmp_path):
+    # the analysis finds loop's argument 2 but not the argument 1 expected too
+    (tmp_path / "bogus.trs").write_text(Path(corpus_path("bogus.trs")).read_text())
+    (tmp_path / "expectations.json").write_text(json.dumps({"benchmarks": [
+        {"file": "bogus.trs", "expected_redundant": {"loop": [1, 2]},
+         "expected_erased": "bogus.trs"}]}))
+    rc, out, err = cli("bench", str(tmp_path))
+    assert (rc, err) == (1, "")
+    assert out.splitlines() == ["bogus          FAIL  rarg 1/2", "0/1 benchmarks pass"]
 
 
 def test_bench_requires_expectations(cli, tmp_path):

@@ -23,6 +23,7 @@ from redarg import (
     differential_verify,
     enumerate_contexts,
     enumerate_ground_terms,
+    parse_trs,
 )
 from redarg.oracle import HOLE_NAME, hole, plug, random_ground_term
 from redarg.rewrite import bounded_semantics
@@ -147,9 +148,18 @@ def reference_enumerate_contexts(trs, hole_sort, depth):
     return all_contexts
 
 
-@pytest.mark.parametrize("relpath", CORPUS_FILES)
+# bogus's Nat next to a sort U that holds no Nat: no context of a U hole
+# takes a Nat argument
+U_AND_NAT = ("sort U\nsort Nat\ncons u : U\ncons k : U -> U\ncons Z : Nat\n"
+             "cons S : Nat -> Nat\ncons t : Nat Nat Nat -> Nat\nfun f : U -> U\n"
+             "pragma terminating\nrule f(x) -> u\n")
+ENUMERATED = {**{relpath: lambda relpath=relpath: load_corpus(relpath)
+                 for relpath in CORPUS_FILES}, "u_and_nat": lambda: parse_trs(U_AND_NAT)}
+
+
+@pytest.mark.parametrize("relpath", sorted(ENUMERATED))
 def test_enumeration_agrees_with_the_separate_level_loops(relpath):
-    trs = load_corpus(relpath)
+    trs = ENUMERATED[relpath]()
     for depth in range(4):
         by_sort = reference_ground_terms_by_sort(trs, depth)[0]
         for sort in trs.sorts:
@@ -259,6 +269,20 @@ def test_a_deep_context_bound_finds_the_same_counterexample():
     shallow = run_cli("oracle", *argv, "--json")
     assert shallow[0] == 1
     assert json.loads(out)["counterexample"] == json.loads(shallow[1])["counterexample"]
+
+
+def test_contexts_build_only_the_ground_sorts_they_take(tmp_path):
+    # a U context of depth 6 takes no Nat, of which there are
+    # 26,524,914,094,591 of depth <= 5
+    trs = parse_trs(U_AND_NAT)
+    assert list(enumerate_contexts(trs, "U", 5)) == reference_enumerate_contexts(trs, "U", 5)
+    path = tmp_path / "u_and_nat.trs"
+    path.write_text(U_AND_NAT)
+    code, out, err = oracle_in_a_child(str(path), "-f", "f", "-i", "1", "--ctx-depth", "6")
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["cases_checked"], report["capped"], report["verdict"]) == \
+        (2286, False, "no-counterexample")
 
 
 def test_a_single_replacement_checks_no_case(tmp_path):

@@ -1,5 +1,7 @@
 """Parser, formatter, and the structural property checks."""
 
+from itertools import combinations, product
+
 import pytest
 
 from redarg import (
@@ -21,7 +23,17 @@ from redarg import (
     parse_trs,
     rules_alpha_equal,
 )
-from redarg.terms import instantiate, iter_positions, replace, unify, var_names
+from redarg.terms import (
+    App,
+    FuncSymbol,
+    instantiate,
+    is_ground,
+    iter_positions,
+    match,
+    replace,
+    unify,
+    var_names,
+)
 from redarg.trs import CriticalPair, _read_term, _rename_apart, canonical_rule
 
 from conftest import CORPUS, GENERATED, load_corpus, table
@@ -420,6 +432,147 @@ def test_completely_defined_empty_arg_sort():
     ok, witness, reason = check_completely_defined(trs)
     assert not ok and witness is None
     assert "no ground constructor terms" in reason
+
+
+# The coverage search as it was before it was one depth-first stack: a
+# stack of split-case generators, kept as the reference for its
+# witnesses.  It counts every row as cover, repeated variables as
+# wildcards, so it is compared on left-linear systems only.
+
+def reference_find_uncovered(sorts, rows, constructors_by_sort, ground_rep):
+    def cases(sorts, rows):
+        sort = sorts[0]
+        if all(isinstance(row[0], Var) for row in rows):
+            yield sort, sorts[1:], [row[1:] for row in rows]
+            return
+        for c in constructors_by_sort.get(sort, []):
+            if any(s not in ground_rep for s in c.arg_sorts):
+                continue
+            specialized = []
+            for row in rows:
+                p = row[0]
+                if isinstance(p, Var):
+                    specialized.append(tuple(Var("_", s) for s in c.arg_sorts) + row[1:])
+                elif p.symbol == c:
+                    specialized.append(p.args + row[1:])
+            yield c, list(c.arg_sorts) + sorts[1:], specialized
+
+    splits = []
+    while True:
+        if not rows:
+            found = [ground_rep[s] for s in sorts]
+            break
+        if not any(all(isinstance(p, Var) for p in row) for row in rows):
+            splits.append([cases(sorts, rows), None])
+        while splits and (case := next(splits[-1][0], None)) is None:
+            splits.pop()
+        if not splits:
+            return None
+        splits[-1][1], sorts, rows = case
+    for _, wrap in reversed(splits):
+        if isinstance(wrap, FuncSymbol):
+            k = wrap.arity
+            found[:k] = [App(wrap, tuple(found[:k]))]
+        else:
+            found.insert(0, ground_rep[wrap])
+    return found
+
+
+def reference_check_completely_defined(trs):
+    cs, cs_witness = check_constructor_system(trs)
+    if not cs:
+        raise NotAConstructorSystem(f"not a constructor system (rule: {cs_witness})")
+    ground_rep = trs.designated_constants
+    constructors_by_sort = {}
+    for c in trs.constructors:
+        constructors_by_sort.setdefault(c.result_sort, []).append(c)
+    for f in trs.defined:
+        bad = [s for s in f.arg_sorts if s not in ground_rep]
+        if bad:
+            return False, None, f"{f.name}: argument sort {bad[0]} has no ground constructor terms"
+        rows = [r.lhs.args for r in trs.rules_by_root.get(f.name, ())]
+        witness_args = reference_find_uncovered(list(f.arg_sorts), rows, constructors_by_sort,
+                                                ground_rep)
+        if witness_args is not None:
+            witness = App(f, tuple(witness_args))
+            return False, witness, f"{f.name} is not reducible on {witness}"
+    return True, None, None
+
+
+LEFT_LINEAR = {**{relpath: lambda relpath=relpath: load_corpus(relpath)
+                  for relpath in CORPUS_SYSTEMS if check_left_linear(load_corpus(relpath))[0]},
+               **GENERATED}
+
+
+def with_rules_dropped(trs):
+    """The system and each of its variants with one or two rules dropped."""
+    n = len(trs.rules)
+    for drop in [(), *combinations(range(n), 1), *combinations(range(n), 2)]:
+        rules = tuple(r for k, r in enumerate(trs.rules) if k not in drop)
+        yield Trs(trs.sorts, trs.symbols, rules, trs.terminating_attested)
+
+
+def coverage_or_error(check, trs):
+    try:
+        return check(trs)
+    except NotAConstructorSystem as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_LINEAR))
+def test_coverage_agrees_with_the_split_generators(name):
+    for trs in with_rules_dropped(LEFT_LINEAR[name]()):
+        assert coverage_or_error(check_completely_defined, trs) == \
+            coverage_or_error(reference_check_completely_defined, trs)
+
+
+def constructor_terms(trs, depth):
+    """Per sort, the constructor-ground terms of depth <= the bound."""
+    by_sort = {s: [] for s in trs.sorts}
+    for _ in range(depth):
+        by_sort = {s: [App(c, args) for c in trs.constructors if c.result_sort == s
+                       for args in product(*(by_sort[a] for a in c.arg_sorts))]
+                   for s in trs.sorts}
+    return by_sort
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_LINEAR))
+def test_coverage_agrees_with_brute_force(name):
+    # a witness is an uncovered constructor-ground tuple, and a "yes"
+    # leaves no tuple of depth <= 2 uncovered
+    for trs in with_rules_dropped(LEFT_LINEAR[name]()):
+        if not check_constructor_system(trs)[0]:
+            continue
+        ok, witness, _ = check_completely_defined(trs)
+        if witness is not None:
+            assert witness.symbol.kind == "defined" and is_ground(witness)
+            assert all(g.symbol.kind == "constructor"
+                       for a in witness.args for _, g in iter_positions(a))
+            assert all(match(r.lhs, witness) is None
+                       for r in trs.rules_by_root.get(witness.symbol.name, ()))
+        if ok:
+            terms = constructor_terms(trs, 2)
+            for f in trs.defined:
+                for args in product(*(terms[s] for s in f.arg_sorts)):
+                    assert any(match(r.lhs, App(f, args)) is not None
+                               for r in trs.rules_by_root.get(f.name, ())), App(f, args)
+
+
+REPEATED = ("sort Nat\ncons Z : Nat\ncons S : Nat -> Nat\nfun f : Nat Nat -> Nat\n"
+            "pragma terminating\nrule f(x, x) -> Z\n")
+
+
+def test_a_rule_that_is_not_left_linear_is_no_cover():
+    # f(Z, S(Z)) is stuck, and f(x, x) matches the first tuple the
+    # search finds, f(Z, Z)
+    assert check_completely_defined(parse_trs(REPEATED)) == (
+        False, None, "f: coverage not decided, as rule f(x, x) -> Z is not left-linear")
+    # f(x, x) does not match f(S(Z), Z), which no rule covers
+    ok, witness, _ = check_completely_defined(parse_trs(REPEATED + "rule f(Z, y) -> Z\n"))
+    assert not ok and format_term(witness) == "f(S(Z), Z)"
+    # the left-linear rules cover every tuple
+    trs = parse_trs(REPEATED + "rule f(Z, y) -> Z\nrule f(S(y), z) -> Z\n")
+    assert check_completely_defined(trs) == (True, None, None)
 
 
 def test_seval_defined(applast, partial, bogus):
