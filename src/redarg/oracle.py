@@ -210,6 +210,43 @@ def brute_force_redundant(
 MAX_RANDOM_TERM_SYMBOLS = 100_000
 
 
+class _Compound:
+    """A draw option of positive arity: the symbol, and the entries its
+    arguments are drawn from, last argument first (None until the
+    option is first drawn)."""
+
+    __slots__ = ("symbol", "links")
+
+    def __init__(self, symbol: FuncSymbol) -> None:
+        self.symbol = symbol
+        self.links: Optional[list[DrawEntry]] = None
+
+
+class DrawEntry:
+    """What random_ground_term draws from for one (sort, depth budget):
+    the options, in declaration order, of the symbols of that result
+    sort that root a ground term of depth <= the budget (a constant's
+    option is its node); the sort's least ground term; and the budget."""
+
+    __slots__ = ("options", "least", "budget")
+
+    def __init__(self, trs: Trs, sort: Sort, budget: int) -> None:
+        least = trs.least_ground_terms
+        self.options: list[Union[App, _Compound]] = [
+            _Compound(f) if f.arg_sorts else App(f, ())
+            for f in trs.symbols if f.result_sort == sort
+            and all(a in least and least[a][0] < budget for a in f.arg_sorts)]
+        self.least = least[sort][1]
+        self.budget = budget
+
+
+def _draw_entry(trs: Trs, sort: Sort, budget: int) -> DrawEntry:
+    entry = trs.ground_roots.get((sort, budget))
+    if entry is None:
+        entry = trs.ground_roots[sort, budget] = DrawEntry(trs, sort, budget)
+    return entry
+
+
 def random_ground_term(
     trs: Trs, sort: Sort, depth: int, rng: random.Random
 ) -> Term:
@@ -220,40 +257,41 @@ def random_ground_term(
     budget.  Where that draw branches more often than it stops, the
     term can grow without end; after MAX_RANDOM_TERM_SYMBOLS draws,
     every open argument gets its sort's least ground term instead.
+
+    The options come from the system's DrawEntry tables: a drawn
+    option's links to the entries of its arguments are made the first
+    time it is drawn, so the tables hold only the levels draws reach.
     """
     _check_inhabited(trs, sort, depth)
-    least = trs.least_ground_terms
-    roots = trs.ground_roots
-    # draw the symbols in preorder; past the cap, a least ground term
+    # draw the options in preorder; past the cap, a least ground term
     # stands for a whole argument
     drawn: list = []
-    stack = [(sort, depth)]
+    stack = [_draw_entry(trs, sort, depth)]
     while stack:
-        task = stack.pop()
+        entry = stack.pop()
         if len(drawn) >= MAX_RANDOM_TERM_SYMBOLS:
-            drawn.append(least[task[0]][1])
+            drawn.append(entry.least)
             continue
-        if (candidates := roots.get(task)) is None:
-            s, budget = task
-            candidates = roots[task] = [f for f in trs.symbols if f.result_sort == s and all(
-                a in least and least[a][0] < budget for a in f.arg_sorts)]
-        f = rng.choice(candidates)
-        drawn.append(f)
-        if f.arg_sorts:
-            budget = task[1] - 1
-            stack.extend([(a, budget) for a in reversed(f.arg_sorts)])
-    # in reverse preorder a symbol's arguments are the last results built,
-    # its first argument on top
+        option = rng.choice(entry.options)
+        drawn.append(option)
+        if option.__class__ is _Compound:
+            links = option.links
+            if links is None:
+                budget = entry.budget - 1
+                links = option.links = [
+                    _draw_entry(trs, a, budget) for a in reversed(option.symbol.arg_sorts)]
+            stack += links
+    # in reverse preorder an option's arguments are the last results
+    # built, its first argument on top
     done: list[Term] = []
-    for f in reversed(drawn):
-        if f.__class__ is not FuncSymbol:
-            done.append(f)
-        elif n := f.arity:
+    for option in reversed(drawn):
+        if option.__class__ is _Compound:
+            n = len(option.links)
             args = tuple(done[: -n - 1 : -1])
             del done[-n:]
-            done.append(App(f, args))
+            done.append(App(option.symbol, args))
         else:
-            done.append(App(f, ()))
+            done.append(option)
     return done[0]
 
 

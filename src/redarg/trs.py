@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     NotAConstructorSystem,
@@ -40,6 +40,9 @@ from .terms import (
     var_names,
     vars_of,
 )
+
+if TYPE_CHECKING:
+    from .oracle import DrawEntry
 
 
 @dataclass(frozen=True)
@@ -122,11 +125,19 @@ class Trs:
         return _least_depth_terms(self.symbols)
 
     @cached_property
-    def ground_roots(self) -> dict[tuple[Sort, int], list[FuncSymbol]]:
-        """Per (sort, depth budget) asked for so far, the symbols of that
-        result sort, in declaration order, that root a ground term of
-        depth <= the budget; filled by oracle.random_ground_term."""
+    def ground_roots(self) -> dict[tuple[Sort, int], DrawEntry]:
+        """Per (sort, depth budget) that a random draw has reached, the
+        oracle.DrawEntry it draws from: its options in declaration order
+        (a constant's prebuilt node, or a symbol linked on first draw to
+        its argument sorts' entries at budget - 1), the sort's least
+        ground term, and the budget.  Filled by oracle.random_ground_term."""
         return {}
+
+    @cached_property
+    def repeated_variables(self) -> dict[Rule, str]:
+        """Each rule whose lhs is not linear, in file order, with the
+        variable that terms.repeated_variable finds repeated in it."""
+        return {r: name for r in self.rules if (name := repeated_variable(r.lhs)) is not None}
 
 
 @dataclass(frozen=True)
@@ -408,11 +419,8 @@ def format_trs(trs: Trs) -> str:
 def check_left_linear(trs: Trs) -> tuple[bool, Optional[tuple[Rule, str]]]:
     """True iff every lhs is linear; otherwise the offending rule and the
     repeated variable."""
-    for rule in trs.rules:
-        name = repeated_variable(rule.lhs)
-        if name is not None:
-            return False, (rule, name)
-    return True, None
+    found = next(iter(trs.repeated_variables.items()), None)
+    return found is None, found
 
 
 def check_constructor_system(trs: Trs) -> tuple[bool, Optional[Rule]]:
@@ -527,6 +535,7 @@ def check_completely_defined(trs: Trs) -> tuple[bool, Optional[Term], Optional[s
     if not cs:
         raise NotAConstructorSystem(f"not a constructor system (rule: {cs_witness})")
     ground_rep = trs.designated_constants
+    nonlinear = trs.repeated_variables
     # the constructors that start a ground term, by sort, in declaration order
     starts: dict[Sort, list[FuncSymbol]] = {}
     for c in trs.constructors:
@@ -540,7 +549,7 @@ def check_completely_defined(trs: Trs) -> tuple[bool, Optional[Term], Optional[s
         # taken, innermost first as nested pairs (split, path): a sort
         # whose ground term goes in front, or a constructor over its
         # first arguments
-        stack = [(f.arg_sorts, [r.lhs.args for r in rules if repeated_variable(r.lhs) is None], ())]
+        stack = [(f.arg_sorts, [r.lhs.args for r in rules if r not in nonlinear], ())]
         while stack:
             sorts, rows, path = stack.pop()
             if not rows:

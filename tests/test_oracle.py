@@ -25,11 +25,12 @@ from redarg import (
     enumerate_ground_terms,
     parse_trs,
 )
+from redarg import oracle
 from redarg.oracle import HOLE_NAME, hole, plug, random_ground_term
 from redarg.rewrite import bounded_semantics
-from redarg.terms import App, Var, fold, replace, vars_of
+from redarg.terms import App, FuncSymbol, Var, fold, replace, vars_of
 
-from conftest import CORPUS_FILES, corpus_path, load_corpus, run_cli
+from conftest import CORPUS_FILES, GENERATED, corpus_path, load_corpus, run_cli
 
 SMALL = EnumBounds(ctx_depth=2, term_depth=2)
 
@@ -416,8 +417,8 @@ def test_ground_roots_agree_with_the_least_depth_filter(relpath):
                 random_ground_term(trs, sort, budget, rng)
             asked.add((sort, budget))
     assert asked <= trs.ground_roots.keys()
-    for (sort, budget), candidates in trs.ground_roots.items():
-        assert candidates == [f for f, d in roots[sort] if d <= budget]
+    for (sort, budget), entry in trs.ground_roots.items():
+        assert [o.symbol for o in entry.options] == [f for f, d in roots[sort] if d <= budget]
 
 
 def test_a_second_verify_adds_no_ground_roots_entry():
@@ -447,6 +448,81 @@ def test_random_ground_term_stops_drawing_at_the_cap(bogus, monkeypatch):
     for seed in range(10):
         t = random_ground_term(bogus, "Nat", 50, random.Random(seed))
         assert all(a == least for a in t.args)
+
+
+def reference_random_ground_term(trs, sort, depth, rng, roots):
+    """random_ground_term as it was before its table held linked draw
+    entries: one candidate symbol list per (sort, budget) in roots,
+    looked up for every drawn symbol."""
+    oracle._check_inhabited(trs, sort, depth)
+    least = trs.least_ground_terms
+    drawn = []
+    stack = [(sort, depth)]
+    while stack:
+        task = stack.pop()
+        if len(drawn) >= oracle.MAX_RANDOM_TERM_SYMBOLS:
+            drawn.append(least[task[0]][1])
+            continue
+        if (candidates := roots.get(task)) is None:
+            s, budget = task
+            candidates = roots[task] = [f for f in trs.symbols if f.result_sort == s and all(
+                a in least and least[a][0] < budget for a in f.arg_sorts)]
+        f = rng.choice(candidates)
+        drawn.append(f)
+        if f.arg_sorts:
+            budget = task[1] - 1
+            stack.extend([(a, budget) for a in reversed(f.arg_sorts)])
+    done = []
+    for f in reversed(drawn):
+        if f.__class__ is not FuncSymbol:
+            done.append(f)
+        elif n := f.arity:
+            args = tuple(done[: -n - 1 : -1])
+            del done[-n:]
+            done.append(App(f, args))
+        else:
+            done.append(App(f, ()))
+    return done[0]
+
+
+def assert_draws_agree(trs, sort, budget, seed, draws, roots):
+    """The same nodes, and the random stream left in the same state
+    after each draw, from the draw and from the reference."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        t = random_ground_term(trs, sort, budget, rng)
+        assert t is reference_random_ground_term(trs, sort, budget, ref_rng, roots)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("name", [*CORPUS_FILES, *GENERATED])
+def test_draws_agree_with_the_parent_draw(name):
+    trs = GENERATED[name]() if name in GENERATED else load_corpus(name)
+    least = trs.least_ground_terms
+    roots = {}
+    for sort in trs.sorts:
+        if sort in least:
+            for budget in range(least[sort][0], 9):
+                for seed in range(3):
+                    assert_draws_agree(trs, sort, budget, seed, 4, roots)
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_draws_agree_with_the_parent_draw_past_the_cap(cap, monkeypatch):
+    monkeypatch.setattr("redarg.oracle.MAX_RANDOM_TERM_SYMBOLS", cap)
+    trs = load_corpus("bogus.trs")
+    for seed in range(10):
+        assert_draws_agree(trs, "Nat", 50, seed, 3, {})
+
+
+def test_draw_tables_hold_only_the_levels_draws_reach(monkeypatch):
+    # built eagerly, the table would hold 100,000 levels; filled by
+    # recursion, its links would overflow the stack
+    monkeypatch.setattr("redarg.oracle.MAX_RANDOM_TERM_SYMBOLS", 50)
+    trs = load_corpus("bogus.trs")
+    for seed in range(3):
+        random_ground_term(trs, "Nat", 100_000, random.Random(seed))
+    assert len(trs.ground_roots) <= 51 * len(trs.sorts)
 
 
 def test_random_ground_term_empty_sort():
