@@ -124,6 +124,12 @@ def _arg_vars_redundant(trs: Trs, fname: str, i: int, known: KnownMap) -> bool:
     )
 
 
+def _variable_bound(trs: Trs, fname: str, i: int) -> bool:
+    """Whether every rule of f binds argument i to a variable: with
+    _arg_vars_redundant, all that the variable case asks."""
+    return all(isinstance(r.lhs.args[i - 1], Var) for r in trs.rules_by_root.get(fname, ()))
+
+
 def variable_case(
     trs: Trs,
     fname: str,
@@ -133,9 +139,7 @@ def variable_case(
     """True iff every rule of f binds argument i to a variable that is
     (f,i)-redundant in the rule's rhs.  Performs no rewriting."""
     _require(build_property_report(trs), VARIABLE_GATES)
-    return all(
-        isinstance(rule.lhs.args[i - 1], Var) for rule in trs.rules_by_root.get(fname, ())
-    ) and _arg_vars_redundant(trs, fname, i, known or {})
+    return _variable_bound(trs, fname, i) and _arg_vars_redundant(trs, fname, i, known or {})
 
 
 def fi_triples(trs: Trs, fname: str, i: int) -> Iterator[FITriple]:
@@ -146,7 +150,7 @@ def fi_triples(trs: Trs, fname: str, i: int) -> Iterator[FITriple]:
     rules = trs.rules_by_root.get(fname, ())
     sym = trs.symbol_map[fname]
     for j, rule1 in enumerate(rules):
-        vars1 = {v.name for v in vars_of(rule1.lhs) | vars_of(rule1.rhs)}
+        vars1 = var_names(rule1.lhs) | var_names(rule1.rhs)
         for rule2 in rules[j + 1:]:
             pairs = zip(rule1.lhs.args, rule2.lhs.args)
             if any(k != i and clash(a, b) for k, (a, b) in enumerate(pairs, 1)):
@@ -220,15 +224,13 @@ def check_triple(
 PatternVerdict = tuple[Optional[bool], tuple[TripleEvidence, ...]]
 
 
-def _triple_verdict(
-    trs: Trs, fname: str, i: int, constants: dict[str, Term], fuel: int
-) -> PatternVerdict:
+def _triple_verdict(trs: Trs, fname: str, i: int, fuel: int) -> PatternVerdict:
     """The part of the pattern case that does not depend on `known`:
     whether every (f,i)-triple joins, with the checked triples."""
     evidence: list[TripleEvidence] = []
     verdict: Optional[bool] = True
     for triple in fi_triples(trs, fname, i):
-        ev = check_triple(trs, triple, constants, fuel=fuel)
+        ev = check_triple(trs, triple, trs.designated_constants, fuel=fuel)
         evidence.append(ev)
         if ev.joinable is False:
             return False, tuple(evidence)
@@ -250,7 +252,7 @@ def pattern_case(
     _require(build_property_report(trs, fuel=fuel), PATTERN_GATES)
     if not _arg_vars_redundant(trs, fname, i, known or {}):
         return False, ()
-    return _triple_verdict(trs, fname, i, trs.designated_constants, fuel)
+    return _triple_verdict(trs, fname, i, fuel)
 
 
 def _gating_notes(report: PropertyReport) -> tuple[list[str], bool, bool]:
@@ -302,15 +304,6 @@ def analyze(
         for f in trs.defined:
             candidates.extend((f.name, i) for i in range(1, f.arity + 1))
 
-    # the candidates every rule binds to a variable: with
-    # _arg_vars_redundant, all that the variable case asks
-    variable_bound = {
-        (fname, i)
-        for fname, i in candidates
-        if var_ok
-        and all(isinstance(r.lhs.args[i - 1], Var) for r in trs.rules_by_root.get(fname, ()))
-    }
-    constants = trs.designated_constants
     verdicts: dict[tuple[str, int], PatternVerdict | NoGroundConstant] = {}
     known: KnownMap = {}
     justifications: dict[tuple[str, int], Justification] = {}
@@ -336,7 +329,7 @@ def analyze(
             fname, i = candidates[n]
             if i in known.get(fname, frozenset()):
                 continue
-            variable = (fname, i) in variable_bound
+            variable = var_ok and _variable_bound(trs, fname, i)
             if not (variable or pat_ok) or not _arg_vars_redundant(trs, fname, i, known):
                 continue
             if variable:
@@ -346,7 +339,7 @@ def analyze(
             cached = verdicts.get((fname, i))
             if cached is None:
                 try:
-                    cached = _triple_verdict(trs, fname, i, constants, fuel)
+                    cached = _triple_verdict(trs, fname, i, fuel)
                 except NoGroundConstant as exc:
                     cached = exc
                 verdicts[(fname, i)] = cached

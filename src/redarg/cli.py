@@ -3,6 +3,8 @@
 Exit codes: 0 success or informational report; 1 negative finding
 (counterexample, disagreement, bench mismatch); 2 parse or
 well-formedness error; 3 fatal fuel exhaustion; 4 precondition unmet.
+A reader that closes standard output early cuts the output short but
+leaves the command's own exit code.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
@@ -340,7 +343,7 @@ def cmd_bench(args) -> Report:
         file = entry["file"]
         trs = _load(str(root / file))
         result = analyze(trs, args.fuel)
-        expected = {k: sorted(v) for k, v in entry["expected_redundant"].items()}
+        expected = _index_sets({k: frozenset(v) for k, v in entry["expected_redundant"].items()})
         redundant_ok = _index_sets(result.redundant) == expected
 
         erased, _warnings = reduced_erasure(erase_trs(trs, result.redundant, suffix))
@@ -468,7 +471,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return 2
     else:
-        print(out)
+        try:
+            print(out, flush=True)
+        except BrokenPipeError:
+            # the reader closed early: what is still buffered goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -25,6 +25,7 @@ from .terms import (
     instantiate,
     is_ground,
     match,
+    replace,
 )
 
 if TYPE_CHECKING:
@@ -95,7 +96,7 @@ def rewrite_step(
 
     Redex positions are ordered by the strategy (postorder for
     innermost, preorder for outermost); rules apply in file order.
-    Single tree walk; only the path to the redex is rebuilt.
+    One tree walk finds the redex; replace rebuilds only the path to it.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -111,10 +112,8 @@ def rewrite_step(
             hit = _match_at(s, index.get(s.symbol.name, ()))
             if hit is not None:
                 rule, sigma = hit
-                nxt = instantiate(rule.rhs, sigma)
-                for u, i in reversed(path[:-1]):
-                    nxt = App(u.symbol, u.args[: i - 1] + (nxt,) + u.args[i:])
-                return nxt, tuple(i for _, i in path[:-1]), rule
+                p = tuple(i for _, i in path[:-1])
+                return replace(t, p, instantiate(rule.rhs, sigma)), p, rule
         if isinstance(s, App) and k < len(s.args):
             frame[1] = k + 1
             path.append([s.args[k], 0])

@@ -231,47 +231,38 @@ def replace(t: Term, p: Position, s: Term) -> Term:
     return s
 
 
-def vars_of(t: Term) -> set[Var]:
-    """The set of variables occurring in t."""
-    out: set[Var] = set()
+def _var_occurrences(t: Term) -> list[Var]:
+    """Every variable occurrence of t, in preorder, last argument first."""
+    out: list[Var] = []
     stack = [t]
     while stack:
         u = stack.pop()
         if isinstance(u, Var):
-            out.add(u)
+            out.append(u)
         else:
             stack.extend(u.args)
     return out
 
 
+def vars_of(t: Term) -> set[Var]:
+    """The set of variables occurring in t."""
+    return set(_var_occurrences(t))
+
+
 def var_names(t: Term) -> set[str]:
-    return {v.name for v in vars_of(t)}
+    return {v.name for v in _var_occurrences(t)}
 
 
 def repeated_variable(t: Term) -> Optional[str]:
     """The name of a variable that occurs twice in t (the first such
     occurrence the walk meets), or None when t is linear."""
     seen: set[str] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            if u.name in seen:
-                return u.name
-            seen.add(u.name)
-        else:
-            stack.extend(u.args)
-    return None
+    # set.add returns None, so a name passes only when it was seen before
+    return next((v.name for v in _var_occurrences(t) if v.name in seen or seen.add(v.name)), None)
 
 
 def is_ground(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            return False
-        stack.extend(u.args)
-    return True
+    return not _var_occurrences(t)
 
 
 # each variable's name -> the term it is bound to

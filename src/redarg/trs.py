@@ -473,6 +473,7 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
         at.setdefault(rule.lhs.symbol.name if isinstance(rule.lhs, App) else None, []).append(k)
     pairs: list[CriticalPair] = []
     for outer_idx, outer in enumerate(trs.rules):
+        avoid = var_names(outer.lhs) | var_names(outer.rhs)
         for k, p, sub in sorted(
             (k, p, sub)
             for p, sub in iter_positions(outer.lhs)
@@ -480,7 +481,7 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
             for k in at.get(sub.symbol.name, []) + at.get(None, [])
             if (p or k < outer_idx) and not clash(sub, trs.rules[k].lhs)
         ):
-            renamed = _rename_apart(trs.rules[k], var_names(outer.lhs) | var_names(outer.rhs))
+            renamed = _rename_apart(trs.rules[k], avoid)
             sigma = unify(sub, renamed.lhs)
             if sigma is None:
                 continue

@@ -1,6 +1,9 @@
 """Command-line behavior: output text, exit codes, and JSON shape."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib.resources import files
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import redarg
 from conftest import corpus_path
 
 SCHEMA = json.loads(files("redarg").joinpath("report_schema.json").read_text())
@@ -152,6 +156,15 @@ def test_check_counts_no_rule_that_repeats_a_variable_as_cover(cli, tmp_path):
         "terminating attested: yes",
     ]
     assert cli("eval", path, "-e", "f(Z, S(Z))")[1].startswith("normal-form f(Z, S(Z))")
+
+
+def test_check_names_the_repeated_variable_the_walk_meets_first(cli, tmp_path):
+    # the walk takes the last argument first, so it meets y twice before x
+    path = write_system(tmp_path, NAT + "fun f : Nat Nat Nat Nat -> Nat\n"
+                        "rule f(x, y, x, y) -> Z\n")
+    rc, out, err = cli("check", path)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "left-linear: no (variable y repeats in f(x, y, x, y) -> Z)"
 
 
 def test_check_fuel_zero_leaves_confluence_unknown(cli, tmp_path):
@@ -602,6 +615,21 @@ def test_bench_row_counts_the_positions_it_expects(cli, tmp_path):
     assert out.splitlines() == ["bogus          FAIL  rarg 1/2", "0/1 benchmarks pass"]
 
 
+@pytest.mark.parametrize("expected", [
+    {"applast": [1], "lastnew": [1, 2], "other": []},
+    {"applast": [1, 1], "lastnew": [1, 2]},
+], ids=["empty-entry", "repeated-index"])
+def test_bench_reads_expected_sets_as_the_analysis_shows_them(cli, tmp_path, expected):
+    (tmp_path / "applast.trs").write_text(Path(corpus_path("applast.trs")).read_text())
+    (tmp_path / "reduced.trs").write_text(expected_text("applast"))
+    (tmp_path / "expectations.json").write_text(json.dumps({"suffix": "'", "benchmarks": [
+        {"file": "applast.trs", "expected_redundant": expected,
+         "expected_erased": "reduced.trs"}]}))
+    rc, out, err = cli("bench", str(tmp_path))
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["applast        PASS  rarg 3/3", "1/1 benchmarks pass"]
+
+
 def test_bench_requires_expectations(cli, tmp_path):
     rc, _, err = cli("bench", str(tmp_path))
     assert rc == 2
@@ -682,6 +710,21 @@ def test_file_not_utf8(cli, tmp_path):
 def test_no_arguments_shows_usage(cli):
     rc, _, err = cli()
     assert rc == 2
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # the trace runs to over a megabyte, far past a pipe's buffer
+    paths = [str(Path(redarg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    argv = ["eval", corpus_path("plus_minus.trs"), "-e", f"minus_pe({tower(400)}, Z)", "--trace"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "redarg.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
+    assert child.stdout.read(100).startswith(b"e: minus_pe(")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 0, err
+    assert "Traceback" not in err
 
 
 JSON_VARIANTS = [

@@ -25,7 +25,7 @@ from redarg import (
     vars_of,
 )
 import redarg.terms as terms
-from redarg.terms import fold, iter_positions
+from redarg.terms import fold, iter_positions, repeated_variable, var_names
 
 NAT = "Nat"
 Z = FuncSymbol("Z", (), NAT, "constructor")
@@ -129,6 +129,10 @@ def test_deep_terms_walk_without_recursion():
     assert fold(filled, lambda v: 0, lambda u, ds: 1 + max(ds, default=0)) == 3001
     sigma = unify(deep, filled)
     assert sigma is not None and sigma.get("x") is z
+    assert (vars_of(deep), var_names(deep), is_ground(deep)) == ({x}, {"x"}, False)
+    assert (vars_of(filled), var_names(filled), is_ground(filled)) == (set(), set(), True)
+    assert repeated_variable(deep) is None and repeated_variable(filled) is None
+    assert repeated_variable(f(deep, x)) == "x"
 
 
 def test_iter_positions_preorder():
