@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .errors import NoGroundConstant, WellFormednessError
 from .rewrite import explore
-from .terms import App, FuncSymbol, Term, Var, instantiate, vars_of
+from .terms import App, FuncSymbol, Term, Var, instantiate, var_names, vars_of
 from .trs import _IDENT, Rule, Trs, canonical_rule
 
 # caps for the unique-normal-form search during compression; small on
@@ -53,6 +53,10 @@ def erasure_table(
             raise WellFormednessError(
                 f"erased symbol name {g.name} collides with another symbol"
             )
+        # a rule variable of that name would read back as the symbol
+        if dropped and (rule := next((r for r in trs.rules if g.name in var_names(r.lhs)), None)):
+            raise WellFormednessError(
+                f"erased symbol name {g.name} is a variable of rule {rule.label} ({rule})")
         names.add(g.name)
         table[f.name] = (g, keep)
     return table
@@ -140,7 +144,8 @@ def reduced_erasure(erased: Trs) -> tuple[Trs, list[str]]:
     """
     rules = [r for r in erased.rules if r.lhs != r.rhs]
     working = replace(erased, rules=tuple(rules))
-    new_rules: list[Rule] = []
+    # the first rule of each alpha-equivalence class, in order
+    kept: dict[tuple[str, str], Rule] = {}
     for rule in rules:
         nf, reason = _unique_normal_form(rule.rhs, working)
         if nf is None:
@@ -148,16 +153,8 @@ def reduced_erasure(erased: Trs) -> tuple[Trs, list[str]]:
                 f"{reason} while normalizing rhs of rule {rule.label} "
                 f"({rule}); returning the erasure uncompressed"
             ]
-        new_rules.append(Rule(rule.lhs, nf, rule.label))
+        if nf != rule.lhs:
+            reduced = Rule(rule.lhs, nf, rule.label)
+            kept.setdefault(canonical_rule(reduced), reduced)
 
-    new_rules = [r for r in new_rules if r.lhs != r.rhs]
-    seen: set[tuple[str, str]] = set()
-    deduped: list[Rule] = []
-    for rule in new_rules:
-        key = canonical_rule(rule)
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(rule)
-
-    return replace(erased, rules=tuple(deduped)), []
+    return replace(erased, rules=tuple(kept.values())), []

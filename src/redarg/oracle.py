@@ -8,6 +8,7 @@ ground terms.  The oracle can only refute or bound, never prove.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from itertools import islice, product
@@ -171,15 +172,10 @@ def brute_force_redundant(
     arg_pools = [list(islice(enumerate_ground_terms(trs, s, bounds.term_depth - 1), n))
                  for s in sym.arg_sorts]
 
-    seval_cache: dict[Term, tuple[frozenset[Term], bool]] = {}
-
+    @functools.cache
     def seval_of(t: Term) -> tuple[frozenset[Term], bool]:
-        hit = seval_cache.get(t)
-        if hit is None:
-            sem = bounded_semantics(t, trs)
-            hit = (sem.seval, sem.truncated)
-            seval_cache[t] = hit
-        return hit
+        sem = bounded_semantics(t, trs)
+        return sem.seval, sem.truncated
 
     cases = 0
     skipped = 0

@@ -10,8 +10,8 @@ this algebra.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple, Optional, TypeVar, Union
 
 from .errors import ArityMismatch, PositionOutOfRange, SortMismatch
 
@@ -20,8 +20,7 @@ Sort = str
 Position = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FuncSymbol:
+class FuncSymbol(NamedTuple):
     """A declared function symbol: name, argument sorts, result sort, and
     whether it is a constructor or a defined symbol."""
 
@@ -29,16 +28,6 @@ class FuncSymbol:
     arg_sorts: tuple[Sort, ...]
     result_sort: Sort
     kind: str  # "constructor" | "defined"
-    # cached: every App construction hashes its symbol
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.name, self.arg_sorts, self.result_sort, self.kind))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def arity(self) -> int:
@@ -57,6 +46,7 @@ class Var:
         return self.name
 
 
+# not a WeakValueDictionary: its get runs in Python, x0.80-0.93 throughput (ROADMAP item 8)
 class _Entry(weakref.ref):
     """A weak reference to an interned node that carries the node's key,
     so the node's entry can be dropped from the table when it dies."""
@@ -333,9 +323,7 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
             elif prev != u:
                 return None
         else:
-            if not isinstance(u, App) or (
-                u.symbol is not p.symbol and u.symbol != p.symbol
-            ):
+            if not isinstance(u, App) or u.symbol != p.symbol:
                 return None
             stack.extend(zip(p.args, u.args))
     return bindings

@@ -664,13 +664,14 @@ def _least_depth_terms(symbols: tuple[FuncSymbol, ...]) -> dict[Sort, tuple[int,
 
 def canonical_rule(rule: Rule) -> tuple[str, str]:
     """A renaming-invariant key: variables numbered by first occurrence
-    in (lhs, rhs) preorder."""
+    in (lhs, rhs) preorder, as ?1, ?2, ..., which no symbol's name can
+    read as."""
     numbering: dict[str, str] = {}
 
     def canon(t: Term) -> str:
         return fold(
             t,
-            lambda v: numbering.setdefault(v.name, f"v{len(numbering) + 1}"),
+            lambda v: numbering.setdefault(v.name, f"?{len(numbering) + 1}"),
             lambda u, args: f"{u.symbol.name}({','.join(args)})" if args else u.symbol.name,
         )
 

@@ -267,6 +267,34 @@ def test_erase_reduced_abort_warns(cli):
     assert "rule h(y) -> h(c(y))" in out
 
 
+# a constant named v1 next to a variable rule that reads the same up to it
+V1_CONSTANT = NAT + "cons v1 : Nat\nfun f : Nat -> Nat\nrule f(v1) -> v1\nrule f(x) -> x\n"
+
+
+def test_erase_reduced_keeps_a_rule_that_only_looks_like_another(cli, tmp_path):
+    src = write_system(tmp_path, V1_CONSTANT)
+    dest = tmp_path / "erased.trs"
+    assert cli("erase", src, "--reduced", "-o", str(dest)) == (0, "", "")
+    assert "rule f(x) -> x\n" in dest.read_text()
+    for path in (src, str(dest)):
+        assert cli("eval", path, "-e", "f(S(Z))") == (0, "value S(Z)\n", "")
+
+
+def test_erase_refuses_a_suffix_that_renames_to_a_rule_variable(cli, tmp_path):
+    # f' would name the erased f and the variable of rule r2 at once, so
+    # the output would not read back
+    src = write_system(tmp_path, NAT + "fun f : Nat Nat -> Nat\nfun g : Nat -> Nat\n"
+                                       "rule f(x, y) -> x\nrule g(f') -> f'\n")
+    dest = tmp_path / "erased.trs"
+    rc, out, err = cli("erase", src, "--rho", "f:2", "--suffix", "'", "-o", str(dest))
+    assert (rc, out) == (2, "")
+    assert err == "error: erased symbol name f' is a variable of rule r2 (g(f') -> f')\n"
+    assert not dest.exists()
+    rc, out, _ = cli("erase", src, "--rho", "f:2", "--suffix", "_e")
+    assert rc == 0 and "rule g(f') -> f'\n" in out
+    assert cli("check", write_system(tmp_path, out))[0] == 0
+
+
 def test_erase_vanished_var_without_constant(cli, tmp_path):
     src = tmp_path / "noconst.trs"
     src.write_text(

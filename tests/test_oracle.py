@@ -366,6 +366,32 @@ def test_oracle_agrees_with_the_listing_oracle(relpath):
                                          seval_cache)
 
 
+def test_oracle_evaluates_each_plugged_term_once(monkeypatch):
+    # a plugged term recurs across cases (a subject meets many
+    # replacements); within one search its semantics is computed once
+    evaluated = []
+
+    def counted(t, trs, *args, **kwargs):
+        evaluated.append(t)
+        return bounded_semantics(t, trs, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "bounded_semantics", counted)
+    recurring = False
+    for relpath in CORPUS_FILES:
+        trs = load_corpus(relpath)
+        for f in trs.symbols:
+            if f.kind != "defined":
+                continue
+            for i in range(1, f.arity + 1):
+                evaluated.clear()
+                verdict = verdict_or_error(brute_force_redundant, trs, f.name, i, SMALL)
+                assert len(evaluated) == len(set(evaluated)), (relpath, f.name, i)
+                if isinstance(verdict, NoCounterexampleUpTo):
+                    # two terms per case, so fewer evaluations show a reuse
+                    recurring |= len(evaluated) < 2 * verdict.cases_checked
+    assert recurring
+
+
 # --- random ground terms ----------------------------------------------------
 
 def test_random_ground_term_deterministic(plus_minus):

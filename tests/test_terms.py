@@ -78,6 +78,28 @@ def test_app_is_interned():
     assert App(FuncSymbol("S", (NAT,), NAT, "constructor"), (z,)) is s(z)
 
 
+def test_a_symbol_is_all_four_of_its_fields():
+    # equal fields held in distinct objects are one symbol, and one node
+    succ = FuncSymbol("".join(["su", "cc"]), tuple([NAT]), NAT, "constructor")
+    twin = FuncSymbol("".join(["suc", "c"]), tuple([NAT]), NAT, "constructor")
+    assert succ is not twin and succ.name is not twin.name
+    assert succ.arg_sorts is not twin.arg_sorts
+    assert succ == twin and hash(succ) == hash(twin)
+    assert App(succ, (z,)) is App(twin, (z,))
+    # a symbol that differs only in its kind builds another node
+    zero = FuncSymbol("Z", (), NAT, "defined")
+    assert zero != Z and App(zero) is not z and App(zero).symbol.kind == "defined"
+    assert match(z, App(zero)) is None and match(App(zero), z) is None
+    assert terms.clash(z, App(zero))
+    # so does one that differs only in its argument sorts
+    wrap_nat = FuncSymbol("w", (NAT,), NAT, "defined")
+    wrap_bool = FuncSymbol("w", ("Bool",), NAT, "defined")
+    b = App(FuncSymbol("b", (), "Bool", "constructor"))
+    assert wrap_nat != wrap_bool
+    assert len({App(wrap_nat, (z,)), App(wrap_bool, (b,))}) == 2
+    assert match(App(wrap_bool, (Var("v", "Bool"),)), App(wrap_nat, (z,))) is None
+
+
 def test_app_errors_still_raise_on_a_known_shape():
     with pytest.raises(ArityMismatch):
         App(S, (z, z))

@@ -687,6 +687,13 @@ def test_canonical_rule_ignores_names():
     assert canonical_rule(a.rules[0]) != canonical_rule(c.rules[0])
 
 
+def test_canonical_rule_tells_a_constant_from_a_variable():
+    # the constant v1 is not the first variable of a rule
+    trs = parse_trs("sort N\ncons v1 : N\nfun f : N -> N\nrule f(v1) -> v1\nrule f(x) -> x\n")
+    assert canonical_rule(trs.rules[0]) != canonical_rule(trs.rules[1])
+    assert not rules_alpha_equal(trs.rules[:1], trs.rules[1:])
+
+
 def test_rules_alpha_equal_is_order_insensitive():
     a = parse_trs(NAT_SYSTEM)
     b = parse_trs(NAT_SYSTEM.replace("x", "u").replace("y", "v"))
