@@ -14,13 +14,9 @@ from dataclasses import replace
 
 from .errors import NoGroundConstant, WellFormednessError
 from .rewrite import explore
-from .terms import App, FuncSymbol, Term, Var, instantiate, var_names, vars_of
+from .terms import (
+    App, FuncSymbol, Term, Var, instantiate, iter_positions, match, var_names, vars_of)
 from .trs import _IDENT, Rule, Trs, canonical_rule
-
-# caps for the unique-normal-form search during compression; small on
-# purpose so a looping right-hand side aborts quickly
-REDUCE_MAX_TERMS = 500
-REDUCE_MAX_STEPS = 2_000
 
 
 # each symbol's name -> its image and the 0-based indices of the
@@ -116,14 +112,27 @@ def erase_trs(trs: Trs, rho: dict[str, frozenset[int]], suffix: str = "") -> Trs
     )
 
 
-def _unique_normal_form(t: Term, trs: Trs) -> tuple[Term | None, str | None]:
-    """Exhaustive bounded search for the unique normal form of t.
+def _embeds_lhs(rule: Rule) -> bool:
+    """Whether the rhs has an instance of the lhs below its root, or is
+    one that binds some variable x to an application holding x.  Each
+    step then nests one more copy or grows that binding, so the rhs
+    reaches infinitely many terms and any bounded search is truncated."""
+    return any(
+        (sigma := match(rule.lhs, u)) is not None
+        and (p or any(isinstance(s, App) and x in var_names(s) for x, s in sigma.items()))
+        for p, u in iter_positions(rule.rhs))
+
+
+def _unique_normal_form(rule: Rule, trs: Trs) -> tuple[Term | None, str | None]:
+    """Exhaustive bounded search for the unique normal form of rule.rhs.
 
     Returns (nf, None) on success, else (None, reason).  Unlike plain
     normalization this explores every reduct, so a looping rule cannot
     hide an ambiguous result.
     """
-    reached, truncated = explore(t, trs, REDUCE_MAX_TERMS, REDUCE_MAX_STEPS)
+    if _embeds_lhs(rule):
+        return None, "fuel exhausted"
+    reached, truncated = explore(rule.rhs, trs)
     if truncated:
         return None, "fuel exhausted"
     normal_forms = [u for u, succs in reached.items() if not succs]
@@ -136,25 +145,23 @@ def _unique_normal_form(t: Term, trs: Trs) -> tuple[Term | None, str | None]:
 
 def reduced_erasure(erased: Trs) -> tuple[Trs, list[str]]:
     """Compress an erasure: drop trivial rules, normalize every
-    remaining rhs, drop rules that became trivial, and deduplicate.
+    remaining rhs, and deduplicate.
 
     When some rhs has no unique normal form within the bounds (a
     looping or ambiguous system), compression is abandoned wholesale
     and the input is returned together with a warning.
     """
-    rules = [r for r in erased.rules if r.lhs != r.rhs]
-    working = replace(erased, rules=tuple(rules))
+    working = replace(erased, rules=tuple(r for r in erased.rules if r.lhs != r.rhs))
     # the first rule of each alpha-equivalence class, in order
     kept: dict[tuple[str, str], Rule] = {}
-    for rule in rules:
-        nf, reason = _unique_normal_form(rule.rhs, working)
+    for rule in working.rules:
+        nf, reason = _unique_normal_form(rule, working)
         if nf is None:
             return erased, [
                 f"{reason} while normalizing rhs of rule {rule.label} "
                 f"({rule}); returning the erasure uncompressed"
             ]
-        if nf != rule.lhs:
-            reduced = Rule(rule.lhs, nf, rule.label)
-            kept.setdefault(canonical_rule(reduced), reduced)
+        reduced = Rule(rule.lhs, nf, rule.label)
+        kept.setdefault(canonical_rule(reduced), reduced)
 
     return replace(erased, rules=tuple(kept.values())), []

@@ -334,26 +334,21 @@ def successors(s: Term, trs: "Trs") -> tuple[Term, ...]:
 Reached = dict[Term, Optional[tuple[Term, ...]]]
 
 
-def explore(
-    t: Term,
-    trs: "Trs",
-    max_terms: int = DEFAULT_MAX_TERMS,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[Reached, bool]:
+def explore(t: Term, trs: "Trs") -> tuple[Reached, bool]:
     """Breadth-first closure of the rewrite relation from t, which may
     be an open term.
 
     Returns (reached, truncated).  reached holds every discovered term
     in discovery order, mapped to its successors (see successors) once
     it is expanded, or to None when a cap left it unexpanded.  A term
-    costs one step per successor.  At most max_terms terms are
+    costs one step per successor.  At most DEFAULT_MAX_TERMS terms are
     discovered; the search stops before an expansion that would take
-    the total over max_steps.  truncated is set iff a cap was hit.
+    the total over DEFAULT_MAX_STEPS.  truncated is set iff a cap was hit.
     """
     reached: Reached = {t: None}
     queue: deque[Term] = deque([t])
     truncated = False
-    step_budget = max_steps
+    max_terms, step_budget = DEFAULT_MAX_TERMS, DEFAULT_MAX_STEPS
     while queue:
         u = queue.popleft()
         succs = successors(u, trs)
@@ -374,8 +369,8 @@ def explore(
 
 
 def bounded_semantics(t: Term, trs: "Trs") -> SemanticsResult:
-    """The derived term sets of the breadth-first closure (explore, at
-    its default caps) of a ground term.
+    """The derived term sets of the breadth-first closure (explore) of
+    a ground term.
 
     sred: every reachable term discovered within the caps.
     seval: sred restricted to constructor-ground terms.

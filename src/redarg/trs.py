@@ -354,7 +354,6 @@ def parse_trs(text: str) -> Trs:
 
     sort_set = set(sorts)
     symbols: dict[str, FuncSymbol] = {}
-    order: list[str] = []
     for keyword, name, arg_sorts, result_sort, lineno in decls:
         for s in arg_sorts + (result_sort,):
             if s not in sort_set:
@@ -363,7 +362,6 @@ def parse_trs(text: str) -> Trs:
             raise WellFormednessError(f"line {lineno}: duplicate symbol {name}")
         kind = "constructor" if keyword == "cons" else "defined"
         symbols[name] = FuncSymbol(name, arg_sorts, result_sort, kind)
-        order.append(name)
 
     rules: list[Rule] = []
     for idx, (lhs_text, rhs_text, lineno) in enumerate(rule_texts, start=1):
@@ -388,7 +386,7 @@ def parse_trs(text: str) -> Trs:
     # which was checked above.
     return Trs(
         sorts=tuple(sorts),
-        symbols=tuple(symbols[n] for n in order),
+        symbols=tuple(symbols.values()),
         rules=tuple(rules),
         terminating_attested=terminating,
     )

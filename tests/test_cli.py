@@ -744,14 +744,14 @@ def test_a_reader_that_closes_early_gets_no_traceback():
     # the trace runs to over a megabyte, far past a pipe's buffer
     paths = [str(Path(redarg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     argv = ["eval", corpus_path("plus_minus.trs"), "-e", f"minus_pe({tower(400)}, Z)", "--trace"]
-    child = subprocess.Popen(
-        [sys.executable, "-m", "redarg.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
-    assert child.stdout.read(100).startswith(b"e: minus_pe(")
-    child.stdout.close()
-    err = child.stderr.read().decode()
-    assert child.wait(timeout=60) == 0, err
+    with subprocess.Popen(
+            [sys.executable, "-m", "redarg.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))) as child:
+        assert child.stdout.read(100).startswith(b"e: minus_pe(")
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 0, err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """Erasure of argument positions and the compression pass."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,8 +23,10 @@ from redarg import (
     reduced_erasure,
     rules_alpha_equal,
 )
+from redarg.erasure import _embeds_lhs
 from redarg.oracle import differential_verify, random_ground_term
-from conftest import CORPUS_FILES, load_corpus
+from redarg.rewrite import explore
+from conftest import CORPUS_FILES, GENERATED, NAT, corpus_path, load_corpus
 
 
 # --- the erasure map --------------------------------------------------------
@@ -295,6 +298,68 @@ def test_erasure_preserves_left_linearity_and_confluence(name):
         assert ok
     assert check_confluence(trs)[0].startswith("yes")
     assert check_confluence(compressed)[0].startswith("yes")
+
+
+# --- a rhs that embeds its lhs -----------------------------------------------
+
+def compression_inputs():
+    """Each single-position erasure of a defined symbol and the analyzed
+    erasure of every corpus file, then the analyzed erasure of every
+    GENERATED system."""
+    systems = [load_corpus(relpath) for relpath in CORPUS_FILES]
+    for trs in systems:
+        for f in trs.defined:
+            for i in range(1, f.arity + 1):
+                yield erase_trs(trs, {f.name: frozenset({i})})
+    for trs in systems + [make() for make in GENERATED.values()]:
+        yield erase_trs(trs, analyze(trs).redundant)
+
+
+def test_a_rhs_that_embeds_its_lhs_has_a_truncated_search():
+    flagged = []
+    for erased in compression_inputs():
+        working = replace(erased, rules=tuple(r for r in erased.rules if r.lhs != r.rhs))
+        for rule in working.rules:
+            if _embeds_lhs(rule):
+                flagged.append(str(rule))
+                assert explore(rule.rhs, working)[1], rule
+    assert sorted(flagged) == [
+        "allzeros -> cons(Z, allzeros)", "double -> S(S(double))", "f -> g(f)",
+        "f(x) -> g(f(x))", "h(y) -> h(c(y))", "loop(a, bogus) -> loop(S(a), S(bogus))",
+        "plus(y) -> S(plus(y))", "plus(y) -> S(plus(y))", "sum -> plus(Z, sum)"]
+
+
+@pytest.mark.parametrize("rule", [
+    "f(x, y) -> f(y, x)", "f(x, y) -> f(x, x)", "f(x, y) -> f(Z, y)",
+    "f(S(x), y) -> f(x, S(y))"])
+def test_a_rhs_that_only_resembles_its_lhs_is_searched_to_the_end(rule):
+    trs = parse_trs("\n".join(NAT + ["fun f : Nat Nat -> Nat", f"rule {rule}"]) + "\n")
+    assert not _embeds_lhs(trs.rules[0])
+    assert not explore(trs.rules[0].rhs, trs)[1]
+
+
+def test_compression_gives_up_on_a_rhs_that_embeds_its_lhs_without_searching_it(
+        cli, tmp_path, monkeypatch):
+    starts = []
+    monkeypatch.setattr("redarg.erasure.explore",
+                        lambda t, trs: starts.append(t) or explore(t, trs))
+    # f's second rule nests 500 calls of f, each passing y on
+    path = tmp_path / "nested.trs"
+    nested = "f(" * 500 + "x" + ", y)" * 500
+    path.write_text("\n".join(NAT + ["fun f : Nat Nat -> Nat", "pragma terminating",
+                                     "rule f(x, Z) -> x", f"rule f(x, S(y)) -> {nested}"]) + "\n")
+    # each case: the arguments, rule r1's rhs, which is searched, and rule r2
+    cases = [
+        ([str(path)], "x", "f(x) -> " + "f(" * 500 + "x" + ")" * 500),
+        ([corpus_path("negative/collapse.trs"), "--rho", "h:1"], "a", "h(y) -> h(c(y))"),
+        ([corpus_path("negative/nonconfluent.trs"), "--rho", "f:1"], "Z", "f -> g(f)"),
+    ]
+    for argv, searched, rule in cases:
+        starts.clear()
+        rc, _, err = cli("erase", *argv, "--reduced")
+        assert (rc, err) == (0, f"warning: fuel exhausted while normalizing rhs of rule r2 "
+                                f"({rule}); returning the erasure uncompressed\n")
+        assert [format_term(u) for u in starts] == [searched]
 
 
 # --- the substitution homomorphism ------------------------------------------

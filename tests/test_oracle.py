@@ -23,6 +23,10 @@ from redarg import (
     differential_verify,
     enumerate_contexts,
     enumerate_ground_terms,
+    erase_term,
+    erase_trs,
+    erasure_table,
+    normalize,
     parse_trs,
 )
 from redarg import oracle
@@ -296,6 +300,15 @@ def test_a_single_replacement_checks_no_case(tmp_path):
     assert code == 0, err
     report = json.loads(out)
     assert (report["cases_checked"], report["skipped_truncated"], report["capped"]) == (0, 0, False)
+
+
+def test_a_sort_with_one_ground_term_gives_no_case(tmp_path):
+    # u is the only U term, so no replacement of f's first argument differs
+    path = tmp_path / "one_u.trs"
+    path.write_text("sort U\nsort Nat\ncons u : U\ncons Z : Nat\ncons S : Nat -> Nat\n"
+                    "fun f : U Nat -> Nat\nrule f(u, x) -> x\n")
+    assert run_cli("oracle", str(path), "-f", "f", "-i", "1") == (
+        0, "no counterexample up to context depth 3, term depth 3 (0 cases, 0 skipped)\n", "")
 
 
 # The oracle as it was before its pools were read lazily: every context,
@@ -596,6 +609,28 @@ def test_differential_counts_nonvalues(partial):
     # nothing, so runs split between agreement and stuck normal forms
     assert rep.agree == 25 and rep.nonvalue == 25
     assert rep.disagree == 0 and rep.indeterminate == 0
+
+
+def test_erasure_takes_no_more_innermost_steps_on_agreeing_trials():
+    # the terms verify draws at its defaults, on every system with a claimed position
+    systems = [load_corpus(relpath) for relpath in CORPUS_FILES]
+    claimed = agreeing = 0
+    for trs in systems + [make() for make in GENERATED.values()]:
+        rho = analyze(trs).redundant
+        if not rho:
+            continue
+        claimed += 1
+        table, erased = erasure_table(trs, rho), erase_trs(trs, rho)
+        rng = random.Random(42)
+        least = trs.least_ground_terms
+        sorts = [s for s in trs.sorts if s in least and least[s][0] <= 6]
+        for k in range(200):
+            t = random_ground_term(trs, sorts[k % len(sorts)], 6, rng)
+            o1, o2 = normalize(t, trs), normalize(erase_term(t, table), erased)
+            if o1.is_value and o2.is_value and erase_term(o1.term, table) == o2.term:
+                agreeing += 1
+                assert o2.steps <= o1.steps, (str(t), rho)
+    assert (claimed, agreeing) == (14, 2800)
 
 
 def test_differential_counts_indeterminate(applast):

@@ -457,13 +457,14 @@ def reference_reducts(u, trs):
 
 
 @pytest.mark.parametrize("relpath", CORPUS_SYSTEMS)
-def test_successors_agree_with_unmemoized_reducts(relpath):
+def test_successors_agree_with_unmemoized_reducts(relpath, monkeypatch):
+    monkeypatch.setattr("redarg.rewrite.DEFAULT_MAX_TERMS", 200)
     trs = load_corpus(relpath)
     rng = random.Random(relpath)
     checked = 0
     for k in range(12):
         goal = random_term(trs, rng, open_term=k % 3 == 2)
-        reached, _ = explore(goal, trs, max_terms=200)
+        reached, _ = explore(goal, trs)
         for u, succs in reached.items():
             want = tuple(dict.fromkeys(reference_reducts(u, trs)))
             assert successors(u, trs) == want
@@ -511,14 +512,15 @@ def test_bounded_semantics_truncation():
     assert len(sem.sred) == DEFAULT_MAX_TERMS
 
 
-def test_explore_open_terms_and_caps():
+def test_explore_open_terms_and_caps(monkeypatch):
     # every discovered term maps to its successors once expanded, or to
     # None when a cap left it unexpanded; variables stay as they are
     reached, truncated = explore(t("f(g(x))"), STRATEGY_DEMO)
     assert not truncated
     assert {str(u): [str(v) for v in s] for u, s in reached.items()} == {
         "f(g(x))": ["Z"], "Z": []}
-    reached, truncated = explore(t("w(x)", LOOP), LOOP, max_steps=2)
+    monkeypatch.setattr("redarg.rewrite.DEFAULT_MAX_STEPS", 2)
+    reached, truncated = explore(t("w(x)", LOOP), LOOP)
     assert truncated
     assert [(str(u), s and [str(v) for v in s]) for u, s in reached.items()] == [
         ("w(x)", ["w(S(x))"]), ("w(S(x))", ["w(S(S(x)))"]), ("w(S(S(x)))", None)]

@@ -36,7 +36,7 @@ from redarg.terms import (
 )
 from redarg.trs import CriticalPair, _read_term, _rename_apart, canonical_rule
 
-from conftest import CORPUS, GENERATED, load_corpus, table
+from conftest import CORPUS, GENERATED, NAT, load_corpus, table
 
 CORPUS_SYSTEMS = sorted(str(p.relative_to(CORPUS)) for p in CORPUS.glob("**/*.trs"))
 
@@ -388,6 +388,14 @@ def test_confluence_knuth_bendix():
     trs = parse_trs(OVERLAPPING.format(pragma="pragma terminating\n"))
     cps = critical_pairs(trs)
     assert len(cps) == 1 and cps[0].position == () and cps[0].left != cps[0].right
+    assert check_confluence(trs) == ("yes-knuth-bendix", None)
+
+
+def test_critical_pairs_skip_an_overlap_that_fails_the_occurs_check():
+    # no clash separates the two left-hand sides, but x = S(y), x = y has no solution
+    trs = parse_trs("\n".join(NAT + ["fun f : Nat Nat -> Nat", "pragma terminating",
+                                     "rule f(x, x) -> Z", "rule f(S(y), y) -> S(Z)"]) + "\n")
+    assert critical_pairs(trs) == []
     assert check_confluence(trs) == ("yes-knuth-bendix", None)
 
 
