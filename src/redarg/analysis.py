@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NoGroundConstant, PreconditionUnmet
-from .rewrite import DEFAULT_FUEL, join
+from .rewrite import DEFAULT_FUEL, join, reach
 from .terms import (
     App,
     FuncSymbol,
     Substitution,
     Term,
     Var,
-    clash,
     fold,
     instantiate,
     unify_up_to_arg,
@@ -120,14 +119,14 @@ def _arg_vars_redundant(trs: Trs, fname: str, i: int, known: KnownMap) -> bool:
     on `known`."""
     return all(
         var_names(rule.lhs.args[i - 1]).isdisjoint(_visible_vars(rule.rhs, fname, i, known))
-        for rule in trs.rules_by_root.get(fname, ())
+        for _, rule in trs.rules_by_root.get(fname, ())
     )
 
 
 def _variable_bound(trs: Trs, fname: str, i: int) -> bool:
     """Whether every rule of f binds argument i to a variable: with
     _arg_vars_redundant, all that the variable case asks."""
-    return all(isinstance(r.lhs.args[i - 1], Var) for r in trs.rules_by_root.get(fname, ()))
+    return all(isinstance(r.lhs.args[i - 1], Var) for _, r in trs.rules_by_root.get(fname, ()))
 
 
 def variable_case(
@@ -145,15 +144,19 @@ def variable_case(
 def fi_triples(trs: Trs, fname: str, i: int) -> Iterator[FITriple]:
     """Lazily, the unordered pairs of distinct rules of f whose lhss
     unify up to argument i, in rule-index order; the second rule is
-    renamed apart (clashing variables get primes) unless the other
-    arguments clash, when the pair is skipped."""
-    rules = trs.rules_by_root.get(fname, ())
+    renamed apart (clashing variables get primes).  The second rules
+    tried are those that the first one's arguments reach in f's tree
+    with argument i a wildcard."""
+    tree = trs.rule_trees.get(fname)
+    if tree is None:
+        return
     sym = trs.symbol_map[fname]
-    for j, rule1 in enumerate(rules):
+    wildcard = (Var("_", sym.arg_sorts[i - 1]),)
+    for k1, rule1 in trs.rules_by_root[fname]:
         vars1 = var_names(rule1.lhs) | var_names(rule1.rhs)
-        for rule2 in rules[j + 1:]:
-            pairs = zip(rule1.lhs.args, rule2.lhs.args)
-            if any(k != i and clash(a, b) for k, (a, b) in enumerate(pairs, 1)):
+        args = rule1.lhs.args
+        for k2, rule2 in reach(tree, args[: i - 1] + wildcard + args[i:], overlap=True):
+            if k2 <= k1:
                 continue
             renamed = _rename_apart(rule2, vars1)
             sigma = unify_up_to_arg(rule1.lhs, renamed.lhs, i)
@@ -312,7 +315,7 @@ def analyze(
     # each symbol -> the indices of the candidates whose rules' rhss hold it
     watchers: dict[str, list[int]] = {}
     for n, (fname, _) in enumerate(candidates):
-        names, stack = set(), [r.rhs for r in trs.rules_by_root.get(fname, ())]
+        names, stack = set(), [r.rhs for _, r in trs.rules_by_root.get(fname, ())]
         while stack:
             u = stack.pop()
             if isinstance(u, App):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import is_
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import WellFormednessError
 from .terms import (
@@ -80,9 +80,118 @@ class SemanticsResult:
     truncated: bool
 
 
-def _match_at(t: Term, rules: tuple["Rule", ...]) -> Optional[tuple["Rule", Substitution]]:
-    """First rule (file order) whose lhs matches t at the root."""
-    for rule in rules:
+class RuleSplit(NamedTuple):
+    """An inner node of a rule tree.  It reads the subterm at one
+    position of the arguments: argument column (counted from 0), then
+    the argument indices below it (from 0).  Its children are keyed by
+    the head symbol names found there, and by None for the rules with a
+    variable there."""
+
+    column: int
+    below: tuple[int, ...]
+    children: dict[Optional[str], "RuleTree"]
+
+
+# a leaf holds the (index in Trs.rules, rule) pairs that reach it, in file order
+RuleTree = Union[RuleSplit, tuple[tuple[int, "Rule"], ...]]
+IndexedRules = Sequence[tuple[int, "Rule"]]
+
+
+def rule_tree(rows: IndexedRules) -> RuleTree:
+    """The decision tree of one symbol's rules, given in file order.
+
+    The positions still to read are a list, first the argument columns
+    in order.  A node skips those where every rule that reaches it has
+    a variable, reads the next one, and splits its rules on the head
+    symbol there; for the child of a head, that head's argument
+    positions go in front of the rest (Maranget, ML Workshop 2008).  A
+    rule with a variable there goes to the None child only, not to
+    every head's, so each rule sits in one leaf, and each lhs position
+    is read at most once.
+    """
+    top: dict[Optional[str], RuleTree] = {}
+    # the positions to read as a linked list (path from the root, rest)
+    todo = None
+    for column in reversed(range(rows[0][1].lhs.symbol.arity)):
+        todo = ((column,), todo)
+    # frames: the rows, the positions to read, and the dict and key the node goes in
+    stack: list[tuple[IndexedRules, Optional[tuple], dict, Optional[str]]] = [
+        (rows, todo, top, None)]
+    while stack:
+        rows, todo, parent, key = stack.pop()
+        while todo is not None:
+            path, todo = todo
+            # the subterms there: every rule that reaches the node has
+            # an application at each position above it
+            found = [r.lhs.args[path[0]] for _, r in rows]
+            for i in path[1:]:
+                found = [a.args[i] for a in found]
+            if App in map(type, found):
+                break
+        else:
+            parent[key] = tuple(rows)
+            continue
+        # (head name, arity), or (None, 0) for a variable -> its rows
+        groups: dict[tuple[Optional[str], int], list[tuple[int, "Rule"]]] = {}
+        for row, a in zip(rows, found):
+            head = (a.symbol.name, len(a.args)) if isinstance(a, App) else (None, 0)
+            groups.setdefault(head, []).append(row)
+        parent[key] = RuleSplit(path[0], path[1:], children := {})
+        for (name, arity), group in groups.items():
+            rest = todo
+            for i in reversed(range(arity)):
+                rest = (path + (i,), rest)
+            stack.append((group, rest, children, name))
+    return top[None]
+
+
+def reach(tree: RuleTree, args: tuple[Term, ...], overlap: bool = False) -> IndexedRules:
+    """The rules, with their indices in file order, of the leaves that
+    the argument tuple args reaches: at each node the child of the head
+    of the subterm there and the None child.  A variable of args
+    reaches the None child only when matching, and with overlap, where
+    it stands for any term, every child of a node at or below it.  Every
+    rule that matches, or with overlap unifies with, a term of these
+    arguments is among them; match or unify decides.
+    """
+    # the walk down one path, while no None child or variable forks it;
+    # a position below the column is read only past its parent's head
+    while tree.__class__ is RuleSplit:
+        column, below, children = tree
+        a = args[column]
+        for i in below:
+            a = a.args[i]
+        if a.__class__ is not App or None in children:
+            break
+        tree = children.get(a.symbol.name, ())
+    else:
+        return tree
+    leaves = []
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is not RuleSplit:
+            leaves.append(node)
+            continue
+        column, below, children = node
+        a = args[column]
+        for i in below:
+            if a.__class__ is not App:
+                break
+            a = a.args[i]
+        if a.__class__ is App:
+            stack += (children.get(None, ()), children.get(a.symbol.name, ()))
+        else:
+            stack += children.values() if overlap else (children.get(None, ()),)
+    if len(leaves) == 1:
+        return leaves[0]
+    # the indices differ, so no rule is compared
+    return sorted(row for leaf in leaves for row in leaf)
+
+
+def _match_at(t: App, tree: RuleTree) -> Optional[tuple["Rule", Substitution]]:
+    """First rule (file order) of the tree whose lhs matches t at the root."""
+    for _, rule in reach(tree, t.args):
         sigma = match(rule.lhs, t)
         if sigma is not None:
             return rule, sigma
@@ -101,7 +210,7 @@ def rewrite_step(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     innermost = strategy == "leftmost-innermost"
-    index = trs.rules_by_root
+    trees = trs.rule_trees
     # the path from the root: each node with the number of its
     # arguments entered so far
     path: list[list] = [[t, 0]]
@@ -109,7 +218,8 @@ def rewrite_step(
         frame = path[-1]
         s, k = frame
         if isinstance(s, App) and k == (len(s.args) if innermost else 0):
-            hit = _match_at(s, index.get(s.symbol.name, ()))
+            tree = trees.get(s.symbol.name)
+            hit = None if tree is None else _match_at(s, tree)
             if hit is not None:
                 rule, sigma = hit
                 p = tuple(i for _, i in path[:-1])
@@ -178,7 +288,7 @@ def _innermost(t: Term, trs: "Trs", fuel: int) -> EvalOutcome:
     """
     if isinstance(t, Var):
         return _outcome(t, 0, None)
-    index = trs.rules_by_root
+    trees = trs.rule_trees
     memo = trs.normal_form_memo
     if len(memo) > MEMO_CAP:
         memo.clear()
@@ -207,14 +317,14 @@ def _innermost(t: Term, trs: "Trs", fuel: int) -> EvalOutcome:
         else:
             node = App(tmpl.symbol, tuple(args))
         value = node
-        rules = index.get(tmpl.symbol.name)
-        found = memo.get(node) if rules else None
+        tree = trees.get(tmpl.symbol.name)
+        found = None if tree is None else memo.get(node)
         if found is not None and steps + found[1] <= fuel:
             value, k = found
             steps += k
-        elif rules:
+        elif tree is not None:
             seen.append((node, steps))
-            hit = _match_at(node, rules)
+            hit = _match_at(node, tree)
             if hit is not None:
                 if steps >= fuel:
                     return _outcome(_rebuild(stack, node), steps, None, exhausted=True)
@@ -302,6 +412,7 @@ def successors(s: Term, trs: "Trs") -> tuple[Term, ...]:
     found = memo.get(s)
     if found is not None:
         return found
+    trees = trs.rule_trees
     stack = [s]
     while stack:
         u = stack[-1]
@@ -315,7 +426,8 @@ def successors(s: Term, trs: "Trs") -> tuple[Term, ...]:
             continue
         stack.pop()
         res: list[Term] = []
-        for rule in trs.rules_by_root.get(u.symbol.name, ()):
+        tree = trees.get(u.symbol.name)
+        for _, rule in () if tree is None else reach(tree, args):
             sigma = match(rule.lhs, u)
             if sigma is not None:
                 res.append(instantiate(rule.rhs, sigma))

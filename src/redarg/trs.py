@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     WellFormednessError,
 )
-from .rewrite import DEFAULT_FUEL, join
+from .rewrite import DEFAULT_FUEL, IndexedRules, RuleTree, _match_at, join, reach, rule_tree
 from .terms import (
     App,
     FuncSymbol,
@@ -28,12 +28,10 @@ from .terms import (
     Sort,
     Term,
     Var,
-    clash,
     fold,
     format_term,
     instantiate,
     iter_positions,
-    match,
     repeated_variable,
     replace,
     unify,
@@ -81,13 +79,21 @@ class Trs:
         return tuple(f for f in self.symbols if f.kind == "defined")
 
     @cached_property
-    def rules_by_root(self) -> dict[str, tuple[Rule, ...]]:
-        """The rules of each root symbol, in file order."""
-        index: dict[str, list[Rule]] = {}
-        for r in self.rules:
+    def rules_by_root(self) -> dict[str, IndexedRules]:
+        """The rules of each root symbol, in file order, each with its
+        index in rules."""
+        index: dict[str, list[tuple[int, Rule]]] = {}
+        for k, r in enumerate(self.rules):
             if isinstance(r.lhs, App):
-                index.setdefault(r.lhs.symbol.name, []).append(r)
-        return {name: tuple(rs) for name, rs in index.items()}
+                index.setdefault(r.lhs.symbol.name, []).append((k, r))
+        return {name: tuple(rows) for name, rows in index.items()}
+
+    @cached_property
+    def rule_trees(self) -> dict[str, RuleTree]:
+        """The decision tree of each root symbol's rules
+        (rewrite.rule_tree), which rewriting and overlap search read
+        through rewrite.reach."""
+        return {name: rule_tree(rows) for name, rows in self.rules_by_root.items()}
 
     @cached_property
     def reducts_memo(self) -> dict[Term, tuple[Term, ...]]:
@@ -462,22 +468,19 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     The inner rule is renamed apart.  A rule does not overlap with
     itself at the root; for distinct rules the root overlap is kept
     once (inner index < outer index), avoiding mirror duplicates.
-    Only the rules of a position's root symbol are tried there, and one
-    whose lhs clashes with the subterm is skipped before renaming.
+    Only the rules that the subterm at a position reaches in its root
+    symbol's tree are renamed and unified there.
     """
-    # the rule indices of each lhs root; None for a variable lhs, which overlaps anything
-    at: dict[Optional[str], list[int]] = {}
-    for k, rule in enumerate(trs.rules):
-        at.setdefault(rule.lhs.symbol.name if isinstance(rule.lhs, App) else None, []).append(k)
+    trees = trs.rule_trees
     pairs: list[CriticalPair] = []
     for outer_idx, outer in enumerate(trs.rules):
         avoid = var_names(outer.lhs) | var_names(outer.rhs)
         for k, p, sub in sorted(
             (k, p, sub)
             for p, sub in iter_positions(outer.lhs)
-            if isinstance(sub, App)
-            for k in at.get(sub.symbol.name, []) + at.get(None, [])
-            if (p or k < outer_idx) and not clash(sub, trs.rules[k].lhs)
+            if isinstance(sub, App) and sub.symbol.name in trees
+            for k, _ in reach(trees[sub.symbol.name], sub.args, overlap=True)
+            if p or k < outer_idx
         ):
             renamed = _rename_apart(trs.rules[k], avoid)
             sigma = unify(sub, renamed.lhs)
@@ -548,7 +551,7 @@ def check_completely_defined(trs: Trs) -> tuple[bool, Optional[Term], Optional[s
         # taken, innermost first as nested pairs (split, path): a sort
         # whose ground term goes in front, or a constructor over its
         # first arguments
-        stack = [(f.arg_sorts, [r.lhs.args for r in rules if r not in nonlinear], ())]
+        stack = [(f.arg_sorts, [r.lhs.args for _, r in rules if r not in nonlinear], ())]
         while stack:
             sorts, rows, path = stack.pop()
             if not rows:
@@ -580,8 +583,8 @@ def check_completely_defined(trs: Trs) -> tuple[bool, Optional[Term], Optional[s
                 found.insert(0, ground_rep[split])
         witness = App(f, tuple(found))
         # only a rule that is not left-linear can match it
-        if stuck := next((r for r in rules if match(r.lhs, witness) is not None), None):
-            return False, None, f"{f.name}: coverage not decided, as rule {stuck} is not left-linear"
+        if rules and (stuck := _match_at(witness, trs.rule_trees[f.name])):
+            return False, None, f"{f.name}: coverage not decided, as rule {stuck[0]} is not left-linear"
         return False, witness, f"{f.name} is not reducible on {witness}"
     return True, None, None
 

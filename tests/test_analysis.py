@@ -365,7 +365,7 @@ def test_analyze_does_not_call_the_library_cases(bogus, plus_minus, monkeypatch)
 def reference_fi_triples(trs, fname, i):
     """Every triple of (f,i), built before any is checked: each pair of
     rules is renamed apart and unified, with no clash test."""
-    rules = trs.rules_by_root.get(fname, ())
+    rules = [r for _, r in trs.rules_by_root.get(fname, ())]
     triples = []
     for j, rule1 in enumerate(rules):
         vars1 = var_names(rule1.lhs) | var_names(rule1.rhs)
@@ -402,7 +402,7 @@ def reference_analyze(trs, fuel=DEFAULT_FUEL, candidate_order=None):
             if i in known.get(fname, frozenset()):
                 continue
             variable = var_ok and all(isinstance(r.lhs.args[i - 1], Var)
-                                      for r in trs.rules_by_root.get(fname, ()))
+                                      for _, r in trs.rules_by_root.get(fname, ()))
             if not (variable or pat_ok) or not _arg_vars_redundant(trs, fname, i, known):
                 continue
             if variable:

@@ -755,6 +755,20 @@ def test_a_reader_that_closes_early_gets_no_traceback():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", corpus_path("")],
+    ["check", corpus_path("negative/partial.trs"), "--json"],
+    ["check", corpus_path("missing.trs")],
+], ids=["bench", "check", "missing"])
+def test_python_dash_m_redarg_is_the_cli(cli, argv):
+    # the same exit code, output and errors as cli.main in-process
+    paths = [str(Path(redarg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-m", "redarg", *argv], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
+    assert (done.returncode, done.stdout, done.stderr) == cli(*argv)
+
+
 JSON_VARIANTS = [
     ("analyze", ["analyze", "applast.trs"]),
     ("check", ["check", "negative/partial.trs"]),

@@ -446,7 +446,7 @@ def reference_reducts(u, trs):
     if isinstance(u, Var):
         return []
     res = []
-    for rule in trs.rules_by_root.get(u.symbol.name, ()):
+    for _, rule in trs.rules_by_root.get(u.symbol.name, ()):
         sigma = match(rule.lhs, u)
         if sigma is not None:
             res.append(instantiate(rule.rhs, sigma))

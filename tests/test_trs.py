@@ -498,7 +498,7 @@ def reference_check_completely_defined(trs):
         bad = [s for s in f.arg_sorts if s not in ground_rep]
         if bad:
             return False, None, f"{f.name}: argument sort {bad[0]} has no ground constructor terms"
-        rows = [r.lhs.args for r in trs.rules_by_root.get(f.name, ())]
+        rows = [r.lhs.args for _, r in trs.rules_by_root.get(f.name, ())]
         witness_args = reference_find_uncovered(list(f.arg_sorts), rows, constructors_by_sort,
                                                 ground_rep)
         if witness_args is not None:
@@ -557,13 +557,13 @@ def test_coverage_agrees_with_brute_force(name):
             assert all(g.symbol.kind == "constructor"
                        for a in witness.args for _, g in iter_positions(a))
             assert all(match(r.lhs, witness) is None
-                       for r in trs.rules_by_root.get(witness.symbol.name, ()))
+                       for _, r in trs.rules_by_root.get(witness.symbol.name, ()))
         if ok:
             terms = constructor_terms(trs, 2)
             for f in trs.defined:
                 for args in product(*(terms[s] for s in f.arg_sorts)):
                     assert any(match(r.lhs, App(f, args)) is not None
-                               for r in trs.rules_by_root.get(f.name, ())), App(f, args)
+                               for _, r in trs.rules_by_root.get(f.name, ())), App(f, args)
 
 
 REPEATED = ("sort Nat\ncons Z : Nat\ncons S : Nat -> Nat\nfun f : Nat Nat -> Nat\n"
